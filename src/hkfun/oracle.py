@@ -6,14 +6,24 @@ degree-m piece the matrix columns are all monomial multiples (of the right
 degree) of the hypersurface and of the q-th powers of the generators,
 expressed in the monomial basis; the graded length is dim - rank.
 
-Two rank paths exist.  When every generator is a monomial, the quotient by
-the generator columns is a box of standard monomials and the hypersurface
-columns are eliminated structurally: a column whose lex-largest entry stays
-inside the box is already a pivot, and the few columns whose lead falls
-outside reduce by walking down the lattice (each step strictly decreases the
-lex-largest entry, so the walk terminates).  Only the small residual system
-ever reaches dense elimination.  Everything else goes through the dense
-path, which is capped in size.
+Three rank paths exist; ``length_path`` picks one.
+
+- ``"pure-power"``: three variables, every generator a pure power (caps
+  x^c_x, y^c_y, z^c_z) and h containing a pure power x_v^d.  Then h is monic
+  of degree d in x_v over A = k[x_a, x_b]/(x_a^c_a, x_b^c_b), so A[x_v]/(h) is
+  a free A-module with basis 1, ..., x_v^(d-1), and the quotient is that
+  module modulo the A-span of x_v^(c_v+i) mod h, i < d: the two-variable
+  setting of Han-Monsky ("Some surprising Hilbert-Kunz functions", Math. Z.
+  1993).  A degree is then a rank problem with at most d*max(c) rows and
+  columns, in place of a walk over all monomials of that degree.
+- ``"walk"``: every other case where every generator is a monomial.  The
+  quotient by the generator columns is a box of standard monomials and the
+  hypersurface columns are eliminated structurally: a column whose
+  lex-largest entry stays inside the box is already a pivot, and the few
+  columns whose lead falls outside reduce by walking down the lattice (each
+  step strictly decreases the lex-largest entry, so the walk terminates).
+  Only the small residual system ever reaches dense elimination.
+- ``"dense"``: everything else, capped in size.
 """
 
 from __future__ import annotations
@@ -27,6 +37,8 @@ from itertools import product
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
+
+from .trinomial import is_prime
 
 Poly = Mapping[tuple[int, ...], int]
 
@@ -169,21 +181,26 @@ def dense_rank_modp(matrix: np.ndarray, p: int) -> int:
 # graded piece lengths
 # ---------------------------------------------------------------------------
 
-def _monomial_ideal_test(gens_q: Sequence[Poly]):
-    """Membership test for the monomial ideal spanned by single-term gens."""
-    exps = [next(iter(g)) for g in gens_q]
-    nv = len(exps[0])
-    pure = [None] * nv
-    extras = []
+def _caps_and_mixed(exps: Sequence[tuple[int, ...]], num_vars: int):
+    """Smallest pure-power exponent per variable (None where there is none)
+    and the exponents of the remaining, mixed monomials."""
+    caps: list[Optional[int]] = [None] * num_vars
+    mixed = []
     for e in exps:
         support = [i for i, x in enumerate(e) if x]
         if len(support) == 1:
             i = support[0]
-            if pure[i] is None or e[i] < pure[i]:
-                pure[i] = e[i]
+            if caps[i] is None or e[i] < caps[i]:
+                caps[i] = e[i]
         else:
-            extras.append(e)
-    caps = pure
+            mixed.append(e)
+    return caps, mixed
+
+
+def _monomial_ideal_test(gens_q: Sequence[Poly]):
+    """Membership test for the monomial ideal spanned by single-term gens."""
+    nv = len(next(iter(gens_q[0])))
+    caps, extras = _caps_and_mixed([next(iter(g)) for g in gens_q], nv)
 
     def in_ideal(e: tuple[int, ...]) -> bool:
         for i, cap in enumerate(caps):
@@ -269,6 +286,78 @@ def _length_monomial_box(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
     return nrows - n_structural - dense_rank_modp(a, p)
 
 
+def _pure_power_setup(hyp: Optional[Poly], gens_q: Sequence[Poly], num_vars: int):
+    """(v, caps) when the pure-power path applies, else None.  Every
+    generator is a monomial; v is the variable of a pure power x_v^d of h,
+    the one with the largest cap when there are several."""
+    if num_vars != 3 or hyp is None:
+        return None
+    caps, mixed = _caps_and_mixed([next(iter(g)) for g in gens_q], 3)
+    if mixed or None in caps:
+        return None
+    d = poly_degree(hyp)
+    pure = [v for v in range(3)
+            if d and tuple(d if i == v else 0 for i in range(3)) in hyp]
+    if not pure:
+        return None
+    return max(pure, key=lambda v: caps[v]), caps
+
+
+def _length_pure_power(p: int, hyp: Poly, gens_q: Sequence[Poly], m: int) -> int:
+    v, caps = _pure_power_setup(hyp, gens_q, 3)
+    a, b = (i for i in range(3) if i != v)
+    cv, ca, cb = caps[v], caps[a], caps[b]
+    d = poly_degree(hyp)
+
+    def span(k: int) -> range:
+        """x_a-exponents of the monomials x_a^s x_b^(k-s) of A_k."""
+        return range(max(0, k - cb + 1), min(ca - 1, k) + 1)
+
+    # rows: the basis of B_m = sum_j A_(m-j) x_v^j; columns: the A-multiples
+    # of x_v^(c_v+i) mod h landing in degree m
+    row_spans = [span(m - j) for j in range(d)]
+    col_spans = [span(m - cv - i) for i in range(d)]
+    nrows = sum(map(len, row_spans))
+    ncols = sum(map(len, col_spans))
+    if nrows == 0 or ncols == 0:
+        return nrows
+
+    # x_v^k mod h for k = c_v .. c_v+d-1, as state[j, s] = coefficient of
+    # x_v^j x_a^s x_b^(k-j-s).  Multiplying by x_v shifts j up and replaces
+    # x_v^d by -(h - lead*x_v^d)/lead.  Terms with x_b-exponent >= c_b are
+    # kept: nothing divides back out of the ideal, so the rows drop them.
+    inv = pow(hyp[tuple(d if i == v else 0 for i in range(3))], -1, p)
+    tail = [(e[v], e[a], (-c * inv) % p) for e, c in hyp.items()
+            if e[v] < d and e[a] < ca]
+    state = np.zeros((d, ca), dtype=np.int64)
+    state[0, 0] = 1
+    reductions = []
+    for k in range(1, cv + d):
+        top = state[d - 1]
+        state = np.roll(state, 1, axis=0)
+        state[0] = 0
+        for ev, ea, c in tail:
+            state[ev, ea:] += c * top[:ca - ea]
+        state %= p
+        if k >= cv:
+            reductions.append(state)
+
+    row_start = np.cumsum([0] + [len(r) for r in row_spans])
+    col_start = np.cumsum([0] + [len(c) for c in col_spans])
+    matrix = np.zeros((nrows, ncols), dtype=np.int64)
+    for i, cs in enumerate(col_spans):
+        shifts = np.arange(cs.start, cs.stop)[:, None]
+        target = shifts + np.arange(ca)[None, :]  # x_a-exponent of each product
+        cols = np.broadcast_to(col_start[i] + shifts - cs.start, target.shape)
+        for j, rs in enumerate(row_spans):
+            keep = (target >= rs.start) & (target < rs.stop) & \
+                (reductions[i][j] != 0)[None, :]
+            rows = row_start[j] + target - rs.start
+            matrix[rows[keep], cols[keep]] = \
+                np.broadcast_to(reductions[i][j], target.shape)[keep]
+    return nrows - dense_rank_modp(matrix, p)
+
+
 def _length_dense(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
                   num_vars: int, m: int) -> int:
     rows = list(monomials_of_degree(num_vars, m))
@@ -294,18 +383,49 @@ def _length_dense(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
     return len(rows) - dense_rank_modp(np.array(columns).T, p)
 
 
+def _check_prime_power(p: int, q: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    power = q
+    while power > 1 and power % p == 0:
+        power //= p
+    if power != 1:
+        raise ValueError(f"q = {q} is not a power of p = {p}")
+
+
 def graded_piece_length_raw(p: int, hypersurface: Optional[Poly],
                             generators: Sequence[Poly], q: int, m: int,
                             num_vars: Optional[int] = None) -> int:
-    """Length of the degree-m piece of S/(h, g_1^q, ..., g_t^q)."""
+    """Length of the degree-m piece of S/(h, g_1^q, ..., g_t^q).
+
+    Raises ValueError when p is not prime, q is not a power of p, or a
+    coefficient is 0 mod p: the brackets rest on freshman's dream and the
+    path choice on the terms of h mod p."""
     if num_vars is None:
         sample = hypersurface if hypersurface is not None else generators[0]
         num_vars = poly_num_vars(sample)
+    _check_prime_power(p, q)
+    for poly in ([hypersurface] if hypersurface is not None else []) + list(generators):
+        if any(c % p == 0 for c in poly.values()):
+            raise ValueError(f"a coefficient of {dict(poly)} is 0 mod {p}")
     hyp = normalize_poly(hypersurface, p) if hypersurface is not None else None
     gens_q = [frobenius_power(g, q, p) for g in generators]
-    if all(len(g) == 1 for g in gens_q):
+    path = length_path(hyp, gens_q, num_vars)
+    if path == "pure-power":
+        return _length_pure_power(p, hyp, gens_q, m)
+    if path == "walk":
         return _length_monomial_box(p, hyp, gens_q, num_vars, m)
     return _length_dense(p, hyp, gens_q, num_vars, m)
+
+
+def length_path(hyp: Optional[Poly], gens_q: Sequence[Poly], num_vars: int) -> str:
+    """The rank path for a normalised h and bracketed generators:
+    "pure-power", "walk" or "dense" (see the module docstring)."""
+    if any(len(g) != 1 for g in gens_q):
+        return "dense"
+    if _pure_power_setup(hyp, gens_q, num_vars) is not None:
+        return "pure-power"
+    return "walk"
 
 
 @dataclass(frozen=True)
@@ -322,11 +442,7 @@ class GradedQuotientQuery:
     def __post_init__(self):
         if self.num_vars not in (2, 3, 4):
             raise ValueError("2, 3 or 4 variables supported")
-        q = self.frobenius_power
-        while q % self.p == 0:
-            q //= self.p
-        if q != 1:
-            raise ValueError("frobenius_power must be a power of p")
+        _check_prime_power(self.p, self.frobenius_power)
         if any(poly_degree(g) < 1 for g in self.generators):
             raise ValueError("generator degrees must be >= 1")
         if self.degree < 0:
@@ -467,12 +583,8 @@ def monomial_alpha(num_vars: int, generators: Sequence[Poly]) -> int:
         if len(g) != 1:
             raise ValueError("generators must be monomials")
         exps.append(next(iter(g)))
-    caps = [None] * num_vars
-    for e in exps:
-        support = [i for i, x in enumerate(e) if x]
-        if len(support) == 1 and (caps[support[0]] is None or e[support[0]] < caps[support[0]]):
-            caps[support[0]] = e[support[0]]
-    if any(c is None for c in caps):
+    caps, _ = _caps_and_mixed(exps, num_vars)
+    if None in caps:
         raise ValueError("not finite colength: some variable has no pure power "
                          "among the generators")
 

@@ -276,7 +276,7 @@ def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
     return TaxicabResult(T=Fraction(1), D=None)
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     if p % 2 == 0:
@@ -309,7 +309,7 @@ def f_threshold(curve: TrinomialCurve, n: int, p: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     d = curve.degree
     base = Fraction(n + 2, 2)

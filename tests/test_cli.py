@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from hkfun.cli import decimal_string, main
 from hkfun.density import PairDensity
 from hkfun.piecewise import tent_function
@@ -141,3 +143,17 @@ def test_decimal_string_correct_rounding():
     assert decimal_string(Fraction(1, 4), 2) == "0.25"
     assert decimal_string(Fraction(349, 232), 6) == "1.504310"
     assert decimal_string(Fraction(7), 0) == "7"
+
+
+@pytest.mark.parametrize("prime, q, hypersurface", [
+    ("3", "10", "x*y - z^2"),   # q not a power of p
+    ("4", "4", "x*y - z^2"),    # p not prime
+    ("3", "3", "x*y - 3*z^2"),  # a coefficient 0 mod p
+])
+def test_oracle_rejects_invalid_input(capsys, prime, q, hypersurface):
+    code, out, err = run_cli(capsys, "oracle", "--prime", prime, "--q", q,
+                             "--hypersurface", hypersurface, "--vars", "3",
+                             "--op", "fthreshold")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("hkfun: error:") and err.count("\n") == 1

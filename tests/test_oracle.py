@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_graded_length
 from hkfun import oracle
@@ -17,13 +18,18 @@ from hkfun.oracle import (
     fthreshold_estimate,
     graded_piece_length,
     graded_piece_length_raw,
+    length_path,
     monomial_alpha,
+    normalize_poly,
     parse_polynomial,
+    poly_degree,
     scaling_check,
     top_nonzero_degree,
+    trinomial_poly,
     variable_powers,
 )
-from hkfun.verify import QUADRIC_CONE
+from hkfun.trinomial import TypeI, TypeII, cyclic, fermat
+from hkfun.verify import QUADRIC_CONE, SEGRE_QUADRIC
 
 import numpy as np
 
@@ -201,3 +207,54 @@ def test_determinism():
     a = colength_profile(3, QUADRIC_CONE, XYZ_VARS, 9)
     b = colength_profile(3, QUADRIC_CONE, XYZ_VARS, 9)
     assert a == b and a.lengths == b.lengths
+
+
+@st.composite
+def pure_power_cases(draw):
+    """A hypersurface with a pure power in a random variable plus 1-3 further
+    terms, nonzero mod p, over caps (n_x, n_y, n_z) * q drawn independently
+    and kept small enough for the definition-level elimination."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    q = draw(st.sampled_from([x for x in (p, p * p) if 3 * x <= 21]))
+    budget = max(3, 14 // q)  # n_x + n_y + n_z
+    ns = []
+    for left in (2, 1, 0):
+        ns.append(draw(st.integers(1, min(3, budget - sum(ns) - left))))
+    d = draw(st.integers(1, 4))
+    v = draw(st.integers(0, 2))
+    pure = tuple(d if i == v else 0 for i in range(3))
+    others = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    others.remove(pure)
+    extra = draw(st.lists(st.sampled_from(others), min_size=1,
+                          max_size=min(3, len(others)), unique=True))
+    h = {e: draw(st.integers(1, p - 1)) for e in [pure] + extra}
+    return p, q, tuple(ns), h
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(pure_power_cases())
+def test_pure_power_path_matches_walk_and_definition(case):
+    p, q, ns, h = case
+    gens = [{tuple(n if k == i else 0 for k in range(3)): 1} for i, n in enumerate(ns)]
+    hyp = normalize_poly(h, p)
+    gens_q = [oracle.frobenius_power(g, q, p) for g in gens]
+    assert length_path(hyp, gens_q, 3) == "pure-power"
+    for m in range(sum(ns) * q + poly_degree(h) + 2):
+        fast = graded_piece_length_raw(p, h, gens, q, m)
+        assert fast == oracle._length_monomial_box(p, hyp, gens_q, 3, m)
+        assert fast == brute_graded_length(p, h, gens, q, m, 3)
+
+
+def test_length_path_routes():
+    box = XYZ_VARS
+    for h in (fermat(4), fermat(5), fermat(6), TypeII(4, 1, 2, 1, 1, 3),
+              TypeI(0, 5, 0, 5, 3, 2)):
+        assert length_path(trinomial_poly(h), box, 3) == "pure-power"
+    assert length_path(QUADRIC_CONE, box, 3) == "pure-power"
+    for h in (cyclic(4), cyclic(5), cyclic(6), TypeI(1, 3, 1, 3, 3, 1)):
+        assert length_path(trinomial_poly(h), box, 3) == "walk"
+    assert length_path(SEGRE_QUADRIC, variable_powers(4, 1), 4) == "walk"
+    fermat4 = trinomial_poly(fermat(4))
+    assert length_path(fermat4, box + [{(1, 1, 0): 1}], 3) == "walk"
+    non_monomial = [{(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}]
+    assert length_path(fermat4, non_monomial, 3) == "dense"
