@@ -3,13 +3,13 @@ for graded pairs, cross-validated against a characteristic-p oracle."""
 
 from .piecewise import PiecewisePolynomial, Polynomial, as_fraction, fraction_str, \
     tent_function
-from .density import PairDensity, RegularityVerdict, SymmetryClass, alpha, \
+from .density import PairDensity, RegularityVerdict, SymmetryClass, \
     alpha_bounds_check, ceiling, frobenius_bracket_scale, regularity_verdict, \
     segre, symmetry_class
 from .volume import BoxSliceSpec, lattice_slice_count, parameter_density, slice_volume
 from .bundle import HNData, H1Window, Polarization, SemistabilityGap, SyzygySpec, \
-    bundle_alpha, bundle_density, char0_limit_density, semistability_gap, \
-    serre_h1_profile, syzygy_pair_density
+    bundle_alpha, bundle_density, semistability_gap, serre_h1_profile, \
+    syzygy_pair_density
 from .trinomial import Irregular, Regular, TaxicabResult, TrinomialCurve, \
     TrinomialInvariants, TypeI, TypeII, classify, cyclic, f_threshold, fermat, \
     residue_table, taxicab_distance, taxicab_search
@@ -20,13 +20,13 @@ __version__ = "0.1.0"
 __all__ = [
     "PiecewisePolynomial", "Polynomial", "as_fraction", "fraction_str",
     "tent_function",
-    "PairDensity", "RegularityVerdict", "SymmetryClass", "alpha",
-    "alpha_bounds_check", "ceiling", "frobenius_bracket_scale",
-    "regularity_verdict", "segre", "symmetry_class",
+    "PairDensity", "RegularityVerdict", "SymmetryClass", "alpha_bounds_check",
+    "ceiling", "frobenius_bracket_scale", "regularity_verdict", "segre",
+    "symmetry_class",
     "BoxSliceSpec", "lattice_slice_count", "parameter_density", "slice_volume",
     "HNData", "H1Window", "Polarization", "SemistabilityGap", "SyzygySpec",
-    "bundle_alpha", "bundle_density", "char0_limit_density", "semistability_gap",
-    "serre_h1_profile", "syzygy_pair_density",
+    "bundle_alpha", "bundle_density", "semistability_gap", "serre_h1_profile",
+    "syzygy_pair_density",
     "Irregular", "Regular", "TaxicabResult", "TrinomialCurve",
     "TrinomialInvariants", "TypeI", "TypeII", "classify", "cyclic",
     "f_threshold", "fermat", "residue_table", "taxicab_distance",

@@ -91,7 +91,9 @@ def bundle_density(hn: HNData, pol: Polarization) -> PiecewisePolynomial:
     """Piecewise-linear density of a bundle with the given slope data.
 
     Continuous on all of R, with breakpoints 1 - a_i/d and a linear left tail;
-    identically zero from 1 - a_min/d on.
+    identically zero from 1 - a_min/d on.  Strong Harder-Narasimhan slopes
+    give the density in characteristic p; ordinary slopes give the
+    large-characteristic limit.
     """
     d = pol.degree
     cuts = [1 - a / d for a in hn.slopes]  # increasing since slopes decrease
@@ -111,12 +113,6 @@ def bundle_density(hn: HNData, pol: Polarization) -> PiecewisePolynomial:
 def bundle_alpha(hn: HNData, pol: Polarization) -> Fraction:
     """Supremum of the density's support: 1 - a_min/d."""
     return 1 - hn.min_slope / pol.degree
-
-
-def char0_limit_density(hn_char0: HNData, pol: Polarization) -> PiecewisePolynomial:
-    """Large-characteristic limit density, computed from ordinary (rather than
-    Frobenius-stable) slope data by the same piecewise-linear formula."""
-    return bundle_density(hn_char0, pol)
 
 
 @dataclass(frozen=True)

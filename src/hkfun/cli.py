@@ -11,14 +11,13 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import oracle, verify
 from .bundle import HNData, Polarization, SyzygySpec, bundle_alpha, bundle_density, \
-    char0_limit_density, syzygy_pair_density
+    syzygy_pair_density
 from .density import PairDensity, segre
 from .piecewise import PiecewisePolynomial, as_fraction, fraction_str
 from .trinomial import Irregular, TypeI, TypeII, classify, cyclic, \
@@ -169,7 +168,7 @@ def _parse_hn(args) -> tuple[HNData, Polarization]:
 
 def _cmd_bundle(args) -> int:
     hn, pol = _parse_hn(args)
-    f = char0_limit_density(hn, pol) if args.char0 else bundle_density(hn, pol)
+    f = bundle_density(hn, pol)
     payload = {"alpha": fraction_str(bundle_alpha(hn, pol)),
                "slopes": [fraction_str(a) for a in hn.slopes],
                "ranks": list(hn.ranks), "poldeg": pol.degree}
@@ -178,8 +177,7 @@ def _cmd_bundle(args) -> int:
 
 
 def _cmd_syzygy(args) -> int:
-    hn = HNData(tuple(_fraction_list(args.slopes)), tuple(_int_list(args.ranks)))
-    pol = Polarization(degree=args.poldeg, genus=args.genus)
+    hn, pol = _parse_hn(args)
     spec = SyzygySpec(mu=args.mu, gen_degree=args.d0, pol=pol, hn_v=hn)
     pair = syzygy_pair_density(spec)
     _emit_density(pair.f, _pair_payload(pair), args)
@@ -254,24 +252,23 @@ def _oracle_ideal(args):
         gens = [oracle.parse_polynomial(g, nv) for g in args.gens.split(",")]
     else:
         gens = oracle.variable_powers(nv, args.n)
-    return hyp, gens
+    return curve, hyp, gens
 
 
 def _cmd_oracle(args) -> int:
-    hyp, gens = _oracle_ideal(args)
+    curve, hyp, gens = _oracle_ideal(args)
     p, q = args.prime, args.q
     echo = {"p": p, "q": q,
-            "hypersurface": args.hypersurface or
-            (repr(_curve_from_args(args)) if _curve_from_args(args) else None),
+            "hypersurface": args.hypersurface or (repr(curve) if curve else None),
             "generators": args.gens or f"coordinate powers n={args.n}"}
     if args.op == "profile":
-        profile = oracle.colength_profile(p, hyp, gens, q, threads=args.threads)
+        profile = oracle.colength_profile(p, hyp, gens, q)
         rows = [{"m": m, "length": profile.lengths[m]} for m in sorted(profile.lengths)]
         _emit({**echo, "top_nonzero": profile.top_nonzero,
                "lengths": {str(m): profile.lengths[m] for m in sorted(profile.lengths)}},
               rows, args)
     elif args.op == "ehk":
-        value = oracle.ehk_estimate(p, hyp, gens, q, threads=args.threads)
+        value = oracle.ehk_estimate(p, hyp, gens, q)
         _emit({**echo, "ehk_estimate": fraction_str(value),
                "ehk_dec": decimal_string(value, args.precision)},
               [{"ehk_estimate": fraction_str(value)}], args)
@@ -315,9 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--precision", type=int, default=12,
                         help="decimal digits for rendered values")
     shared.add_argument("--out", help="write output to this path instead of stdout")
-    shared.add_argument("--threads", type=int,
-                        default=int(os.environ.get("HKFUN_THREADS", "1")),
-                        help="worker threads for oracle sweeps")
+    # accepted and ignored: existing scripts still pass it
+    shared.add_argument("--threads", type=int, help=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(prog="hkfun",
                                      description="exact Hilbert-Kunz density and "
@@ -330,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vol.set_defaults(func=_cmd_volume)
 
     p_den = sub.add_parser("density", parents=[shared], help="parameter-ideal pair density")
-    p_den.add_argument("--param", action="store_true",
-                       help="build from a parameter ideal (default mode)")
     p_den.add_argument("--mult", type=int, default=1)
     p_den.add_argument("--degrees", help="comma-separated generator degrees")
     p_den.add_argument("--in", dest="infile", help="read a pair density from JSON")
@@ -351,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bun.add_argument("--ranks", required=True, help="comma-separated integers")
     p_bun.add_argument("--poldeg", type=int, required=True)
     p_bun.add_argument("--genus", type=int, default=0)
-    p_bun.add_argument("--char0", action="store_true",
-                       help="treat the slopes as ordinary (limit) slope data")
     p_bun.set_defaults(func=_cmd_bundle)
 
     p_syz = sub.add_parser("syzygy", parents=[shared],

@@ -84,10 +84,6 @@ def ceiling(p: PairDensity) -> PiecewisePolynomial:
     return PiecewisePolynomial.on_interval(0, hi, ceiling_polynomial(p.mult, p.dim))
 
 
-def alpha(p: PairDensity) -> Fraction:
-    return p.alpha
-
-
 def segre(p: PairDensity, s: PairDensity) -> PairDensity:
     """Density of the Segre product of two pairs.
 

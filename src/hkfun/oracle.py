@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -383,6 +382,10 @@ def _length_dense(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
     return len(rows) - dense_rank_modp(np.array(columns).T, p)
 
 
+def _num_vars(hyp: Optional[Poly], gens: Sequence[Poly]) -> int:
+    return poly_num_vars(hyp if hyp is not None else gens[0])
+
+
 def _check_prime_power(p: int, q: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -398,14 +401,17 @@ def graded_piece_length_raw(p: int, hypersurface: Optional[Poly],
                             num_vars: Optional[int] = None) -> int:
     """Length of the degree-m piece of S/(h, g_1^q, ..., g_t^q).
 
-    Raises ValueError when p is not prime, q is not a power of p, or a
-    coefficient is 0 mod p: the brackets rest on freshman's dream and the
-    path choice on the terms of h mod p."""
+    Raises ValueError when p is not prime, q is not a power of p, a
+    polynomial is constant or not homogeneous, or a coefficient is 0 mod p:
+    the brackets rest on freshman's dream, the grading on homogeneous forms
+    of positive degree, and the path choice on the terms of h mod p.  The
+    checks sit here because some paths return before they look at h."""
     if num_vars is None:
-        sample = hypersurface if hypersurface is not None else generators[0]
-        num_vars = poly_num_vars(sample)
+        num_vars = _num_vars(hypersurface, generators)
     _check_prime_power(p, q)
     for poly in ([hypersurface] if hypersurface is not None else []) + list(generators):
+        if poly_degree(poly) < 1:
+            raise ValueError("polynomials must have positive degree")
         if any(c % p == 0 for c in poly.values()):
             raise ValueError(f"a coefficient of {dict(poly)} is 0 mod {p}")
     hyp = normalize_poly(hypersurface, p) if hypersurface is not None else None
@@ -426,33 +432,6 @@ def length_path(hyp: Optional[Poly], gens_q: Sequence[Poly], num_vars: int) -> s
     if _pure_power_setup(hyp, gens_q, num_vars) is not None:
         return "pure-power"
     return "walk"
-
-
-@dataclass(frozen=True)
-class GradedQuotientQuery:
-    """A single graded colength question."""
-
-    p: int
-    num_vars: int
-    hypersurface: Optional[Poly]
-    generators: tuple[Poly, ...]
-    frobenius_power: int
-    degree: int
-
-    def __post_init__(self):
-        if self.num_vars not in (2, 3, 4):
-            raise ValueError("2, 3 or 4 variables supported")
-        _check_prime_power(self.p, self.frobenius_power)
-        if any(poly_degree(g) < 1 for g in self.generators):
-            raise ValueError("generator degrees must be >= 1")
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-
-
-def graded_piece_length(query: GradedQuotientQuery) -> int:
-    return graded_piece_length_raw(query.p, query.hypersurface,
-                                   list(query.generators), query.frobenius_power,
-                                   query.degree, query.num_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -480,36 +459,21 @@ def _sweep_bound(hypersurface: Optional[Poly], generators: Sequence[Poly],
 
 
 def colength_profile(p: int, hypersurface: Optional[Poly],
-                     generators: Sequence[Poly], q: int,
-                     threads: Optional[int] = None) -> ColengthProfile:
+                     generators: Sequence[Poly], q: int) -> ColengthProfile:
     """Sweep degrees upward until the first zero length.
 
     In a standard graded quotient a zero piece forces all higher pieces to be
     zero, so the sweep may stop at the first zero; if the safety bound is
     passed without one the ideal did not have finite colength.
     """
-    sample = hypersurface if hypersurface is not None else generators[0]
-    num_vars = poly_num_vars(sample)
+    num_vars = _num_vars(hypersurface, generators)
     bound = _sweep_bound(hypersurface, generators, q, num_vars)
     lengths: dict[int, int] = {}
-
-    def length_at(m: int) -> int:
-        return graded_piece_length_raw(p, hypersurface, generators, q, m, num_vars)
-
-    m = 0
-    workers = max(1, threads or 1)
-    while m <= bound:
-        block = list(range(m, min(m + workers, bound + 1)))
-        if workers == 1:
-            values = [length_at(k) for k in block]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                values = list(pool.map(length_at, block))
-        for k, v in zip(block, values):
-            if v == 0:
-                return ColengthProfile(p=p, q=q, lengths=lengths, top_nonzero=k - 1)
-            lengths[k] = v
-        m = block[-1] + 1
+    for m in range(bound + 1):
+        value = graded_piece_length_raw(p, hypersurface, generators, q, m, num_vars)
+        if value == 0:
+            return ColengthProfile(p=p, q=q, lengths=lengths, top_nonzero=m - 1)
+        lengths[m] = value
     raise OracleError("no zero tail before the sweep bound; the ideal does "
                       "not have finite colength")
 
@@ -521,8 +485,7 @@ def top_nonzero_degree(p: int, hypersurface: Optional[Poly],
     Zero pieces are upward-closed in a standard graded quotient, which makes
     bisection valid and avoids computing the full profile at large q.
     """
-    sample = hypersurface if hypersurface is not None else generators[0]
-    num_vars = poly_num_vars(sample)
+    num_vars = _num_vars(hypersurface, generators)
     hi = _sweep_bound(hypersurface, generators, q, num_vars)
 
     def is_zero(m: int) -> bool:
@@ -542,8 +505,7 @@ def top_nonzero_degree(p: int, hypersurface: Optional[Poly],
 
 
 def _pair_dimension(hypersurface: Optional[Poly], generators: Sequence[Poly]) -> int:
-    sample = hypersurface if hypersurface is not None else generators[0]
-    return poly_num_vars(sample) - (1 if hypersurface is not None else 0)
+    return _num_vars(hypersurface, generators) - (1 if hypersurface is not None else 0)
 
 
 def fn_sample(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
@@ -558,10 +520,10 @@ def fn_sample(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
 
 
 def ehk_estimate(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
-                 q: int, threads: Optional[int] = None) -> Fraction:
+                 q: int) -> Fraction:
     """sum_m length / q^dim: the finite-q multiplicity estimate."""
     dim = _pair_dimension(hypersurface, generators)
-    profile = colength_profile(p, hypersurface, generators, q, threads=threads)
+    profile = colength_profile(p, hypersurface, generators, q)
     return Fraction(profile.total(), q ** dim)
 
 
@@ -603,8 +565,7 @@ def scaling_check(p: int, hypersurface: Optional[Poly], generators: Sequence[Pol
     """Exact Frobenius-bracket consistency: the colengths of (I^[q0])^[q] and
     I^[q0*q] agree degree by degree on a sample grid."""
     bracketed = [frobenius_power(g, q0, p) for g in generators]
-    sample = hypersurface if hypersurface is not None else generators[0]
-    num_vars = poly_num_vars(sample)
+    num_vars = _num_vars(hypersurface, generators)
     top = _sweep_bound(hypersurface, generators, q0 * q, num_vars)
     for i in range(num_points):
         m = (top * i) // num_points

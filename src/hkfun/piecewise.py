@@ -361,12 +361,6 @@ class PiecewisePolynomial:
         """poly on [lo, hi), zero elsewhere."""
         return cls([lo, hi], [poly])
 
-    @classmethod
-    def from_segments(cls, breakpoints: Sequence[QLike], pieces: Sequence[Polynomial],
-                      left_tail: Polynomial = _ZERO_POLY,
-                      right_tail: Polynomial = _ZERO_POLY) -> "PiecewisePolynomial":
-        return cls(breakpoints, pieces, left_tail, right_tail)
-
     # -- structure ----------------------------------------------------------
 
     def _segments(self) -> list[Polynomial]:

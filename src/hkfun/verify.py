@@ -87,7 +87,7 @@ def _case_tent_exact() -> VerifyResult:
 def _fermat4_case(name: str, p: int) -> Callable[[], VerifyResult]:
     def run() -> VerifyResult:
         target = f_threshold(fermat(4), 1, p)
-        measured = oracle.fthreshold_estimate(p, {e: 1 for e in fermat(4).monomials()}, 1, p)
+        measured = oracle.fthreshold_estimate(p, oracle.trinomial_poly(fermat(4)), 1, p)
         return _result(name, measured, target, Fraction(3, p),
                        detail=f"threshold estimate at q={p} against the residue formula")
     return run
@@ -132,7 +132,7 @@ def _case_irregular_quintic() -> VerifyResult:
     curve = irregular_quintic_witness()
     p, q = 13, 169
     target = f_threshold(curve, 1, p)
-    measured = oracle.fthreshold_estimate(p, {e: 1 for e in curve.monomials()}, 1, q)
+    measured = oracle.fthreshold_estimate(p, oracle.trinomial_poly(curve), 1, q)
     return _result("irregular-d5-oracle", measured, target, Fraction(3, q),
                    detail=f"witness {curve}; threshold estimate at q=p^2={q}")
 

@@ -13,7 +13,6 @@ from hkfun.bundle import (
     SyzygySpec,
     bundle_alpha,
     bundle_density,
-    char0_limit_density,
     semistability_gap,
     serre_h1_profile,
     syzygy_pair_density,
@@ -64,6 +63,8 @@ def test_bundle_alpha_examples():
 
 
 def test_bundle_density_shape(rng):
+    two_step = bundle_density(HNData((Fraction(1), Fraction(-1)), (1, 1)), Polarization(2))
+    assert two_step.support_sup() == Fraction(3, 2)
     for _ in range(10):
         parts = rng.randint(1, 4)
         slopes = tuple(sorted({Fraction(rng.randint(-12, 6), rng.randint(1, 4))
@@ -125,16 +126,6 @@ def test_dichotomy_on_random_syzygy_data(rng):
         cls = symmetry_class(pair)
         assert cls in (SymmetryClass.SYMMETRIC_AT_HALF_D,
                        SymmetryClass.STRICTLY_LEFT_HEAVY)
-
-
-def test_char0_limit_density():
-    pol = Polarization(2)
-    single = char0_limit_density(HNData((Fraction(-1),), (2,)), pol)
-    assert single.support_sup() == Fraction(3, 2)
-    trivial = char0_limit_density(HNData((Fraction(0),), (3,)), pol)
-    assert trivial == bundle_density(HNData((Fraction(0),), (3,)), pol)
-    two_step = char0_limit_density(HNData((Fraction(1), Fraction(-1)), (1, 1)), pol)
-    assert two_step.support_sup() == Fraction(3, 2)
 
 
 def test_semistability_gap():

@@ -17,7 +17,7 @@ def run_cli(capsys, *argv):
 
 
 def test_density_param_tent_json(capsys):
-    code, out, _ = run_cli(capsys, "density", "--param", "--mult", "1",
+    code, out, _ = run_cli(capsys, "density", "--mult", "1",
                            "--degrees", "1,1", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -74,7 +74,7 @@ def test_oracle_profile_csv(capsys):
 
 
 def test_samples_format(capsys):
-    code, out, _ = run_cli(capsys, "density", "--param", "--degrees", "1,1",
+    code, out, _ = run_cli(capsys, "density", "--degrees", "1,1",
                            "--format", "samples", "--samples", "5",
                            "--precision", "3")
     assert code == 0
@@ -145,15 +145,23 @@ def test_decimal_string_correct_rounding():
     assert decimal_string(Fraction(7), 0) == "7"
 
 
-@pytest.mark.parametrize("prime, q, hypersurface", [
-    ("3", "10", "x*y - z^2"),   # q not a power of p
-    ("4", "4", "x*y - z^2"),    # p not prime
-    ("3", "3", "x*y - 3*z^2"),  # a coefficient 0 mod p
-])
-def test_oracle_rejects_invalid_input(capsys, prime, q, hypersurface):
+FTHRESHOLD = ("--op", "fthreshold")
+INVALID_ORACLE_INPUT = [
+    ("3", "10", "x*y - z^2", FTHRESHOLD),    # q not a power of p
+    ("4", "4", "x*y - z^2", FTHRESHOLD),     # p not prime
+    ("3", "3", "x*y - 3*z^2", FTHRESHOLD),   # a coefficient 0 mod p
+    # h not homogeneous, at a degree where the walk's box is empty
+    ("3", "3", "x^2*y - y*z", ("--gens", "x,y,z,x*y", "--op", "fn", "--x", "5")),
+    ("3", "3", "1", FTHRESHOLD),             # h constant
+    ("3", "3", "x*y - z^2", ("--gens", "1,x,y", "--format", "csv")),  # unit ideal
+]
+
+
+@pytest.mark.parametrize("prime, q, hypersurface, extra", INVALID_ORACLE_INPUT,
+                         ids=["-".join(case[:3]) for case in INVALID_ORACLE_INPUT])
+def test_oracle_rejects_invalid_input(capsys, prime, q, hypersurface, extra):
     code, out, err = run_cli(capsys, "oracle", "--prime", prime, "--q", q,
-                             "--hypersurface", hypersurface, "--vars", "3",
-                             "--op", "fthreshold")
+                             "--hypersurface", hypersurface, "--vars", "3", *extra)
     assert code == 1
     assert out == ""
     assert err.startswith("hkfun: error:") and err.count("\n") == 1

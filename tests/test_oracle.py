@@ -9,14 +9,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import brute_graded_length
 from hkfun import oracle
 from hkfun.oracle import (
-    GradedQuotientQuery,
     OracleError,
     colength_profile,
     dense_rank_modp,
     ehk_estimate,
     fn_sample,
     fthreshold_estimate,
-    graded_piece_length,
     graded_piece_length_raw,
     length_path,
     monomial_alpha,
@@ -52,15 +50,8 @@ def test_graded_piece_examples():
     assert graded_piece_length_raw(3, QUADRIC_CONE, XYZ_VARS, 3, 4) == 0
     assert graded_piece_length_raw(3, QUADRIC_CONE, XYZ_VARS, 3, 4) == \
         brute_graded_length(3, QUADRIC_CONE, XYZ_VARS, 3, 4, 3)
-
-
-def test_query_wrapper():
-    q = GradedQuotientQuery(p=3, num_vars=3, hypersurface=QUADRIC_CONE,
-                            generators=tuple(XYZ_VARS), frobenius_power=3, degree=3)
-    assert graded_piece_length(q) == 4
-    with pytest.raises(ValueError):
-        GradedQuotientQuery(p=3, num_vars=3, hypersurface=None,
-                            generators=tuple(XYZ_VARS), frobenius_power=2, degree=1)
+    with pytest.raises(ValueError):  # q = 2 is not a power of p = 3
+        graded_piece_length_raw(3, None, XYZ_VARS, 2, 1)
 
 
 def test_structured_path_matches_definition(rng):
@@ -126,13 +117,6 @@ def test_top_nonzero_matches_profile(rng):
     for p, h, gens, q in cases:
         profile = colength_profile(p, h, gens, q)
         assert top_nonzero_degree(p, h, gens, q) == profile.top_nonzero
-
-
-def test_profile_thread_determinism():
-    serial = colength_profile(3, QUADRIC_CONE, XYZ_VARS, 9)
-    threaded = colength_profile(3, QUADRIC_CONE, XYZ_VARS, 9, threads=4)
-    assert serial.lengths == threaded.lengths
-    assert serial.top_nonzero == threaded.top_nonzero
 
 
 def test_fn_sample():
