@@ -275,6 +275,8 @@ def _cmd_oracle(args) -> int:
     elif args.op == "fthreshold":
         if hyp is None:
             raise ValueError("fthreshold needs a hypersurface")
+        if args.gens:
+            raise ValueError("fthreshold takes the coordinate powers of --n, not --gens")
         value = oracle.fthreshold_estimate(p, hyp, args.n, q)
         _emit({**echo, "fthreshold_estimate": fraction_str(value),
                "fthreshold_dec": decimal_string(value, args.precision)},
@@ -291,7 +293,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     if args.list:
         for name in sorted(verify.CASES):
-            print(name)
+            note = verify.FAILS_BY_DESIGN.get(name)
+            print(f"{name}  ({note})" if note else name)
         return 0
     if not args.case:
         raise ValueError("specify --case NAME or --list")

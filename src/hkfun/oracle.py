@@ -6,7 +6,10 @@ degree-m piece the matrix columns are all monomial multiples (of the right
 degree) of the hypersurface and of the q-th powers of the generators,
 expressed in the monomial basis; the graded length is dim - rank.
 
-Three rank paths exist; ``length_path`` picks one.
+``quotient_lengths`` sets up one quotient R/I^[q] once: it checks the input,
+brackets the generators, picks one of three rank paths and does that path's
+per-quotient work.  The ``length(m)`` it returns does only the work of
+degree m, so a sweep or a bisection pays for the setup once.
 
 - ``"pure-power"``: three variables, every generator a pure power (caps
   x^c_x, y^c_y, z^c_z) and h containing a pure power x_v^d.  Then h is monic
@@ -14,8 +17,9 @@ Three rank paths exist; ``length_path`` picks one.
   a free A-module with basis 1, ..., x_v^(d-1), and the quotient is that
   module modulo the A-span of x_v^(c_v+i) mod h, i < d: the two-variable
   setting of Han-Monsky ("Some surprising Hilbert-Kunz functions", Math. Z.
-  1993).  A degree is then a rank problem with at most d*max(c) rows and
-  columns, in place of a walk over all monomials of that degree.
+  1993).  The d reductions of x_v^(c_v+i) are the setup; a degree is then a
+  rank problem with at most d*max(c) rows and columns, in place of a walk
+  over all monomials of that degree.
 - ``"walk"``: every other case where every generator is a monomial.  The
   quotient by the generator columns is a box of standard monomials and the
   hypersurface columns are eliminated structurally: a column whose
@@ -29,11 +33,12 @@ Three rank paths exist; ``length_path`` picks one.
 from __future__ import annotations
 
 import heapq
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -196,130 +201,96 @@ def _caps_and_mixed(exps: Sequence[tuple[int, ...]], num_vars: int):
     return caps, mixed
 
 
-def _monomial_ideal_test(gens_q: Sequence[Poly]):
-    """Membership test for the monomial ideal spanned by single-term gens."""
-    nv = len(next(iter(gens_q[0])))
-    caps, extras = _caps_and_mixed([next(iter(g)) for g in gens_q], nv)
+def _walk_lengths(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
+                  num_vars: int) -> Callable[[int], int]:
+    caps, extras = _caps_and_mixed([next(iter(g)) for g in gens_q], num_vars)
 
-    def in_ideal(e: tuple[int, ...]) -> bool:
+    def in_j(e: tuple[int, ...]) -> bool:
+        """Membership in the monomial ideal of the single-term gens_q."""
         for i, cap in enumerate(caps):
             if cap is not None and e[i] >= cap:
                 return True
         for g in extras:
-            if all(e[i] >= g[i] for i in range(nv)):
+            if all(e[i] >= g[i] for i in range(num_vars)):
                 return True
         return False
 
-    return in_ideal
+    if hyp is not None:
+        dh = poly_degree(hyp)
+        terms = sorted(hyp.items(), key=lambda t: t[0], reverse=True)
+        (e_max, c_max), tail = terms[0], terms[1:]
+        inv_cmax = pow(c_max, -1, p)
+
+    def length(m: int) -> int:
+        nrows = sum(1 for e in monomials_of_degree(num_vars, m) if not in_j(e))
+        if hyp is None or nrows == 0 or m < dh:
+            return nrows
+        n_cols = 0
+        n_residual = 0
+        residual_vecs: list[dict[tuple[int, ...], int]] = []
+        for mu in monomials_of_degree(num_vars, m - dh):
+            if in_j(mu):
+                continue
+            n_cols += 1
+            lead = tuple(mu[i] + e_max[i] for i in range(num_vars))
+            if not in_j(lead):
+                continue  # structural pivot: lead is unique to this column
+            n_residual += 1
+            vec: dict[tuple[int, ...], int] = {}
+            heap: list[tuple[int, ...]] = []
+            for e, c in hyp.items():
+                pos = tuple(mu[i] + e[i] for i in range(num_vars))
+                if not in_j(pos):
+                    vec[pos] = c % p
+                    heapq.heappush(heap, tuple(-x for x in pos))
+            settled: dict[tuple[int, ...], int] = {}
+            while heap:
+                r = tuple(-x for x in heapq.heappop(heap))
+                c = vec.get(r, 0)
+                if not c:
+                    continue  # stale heap entry
+                delta = tuple(r[i] - e_max[i] for i in range(num_vars))
+                if min(delta) >= 0 and not in_j(delta):
+                    # eliminate against the structural pivot with lead r; the
+                    # replacement entries are strictly lex-smaller than r
+                    del vec[r]
+                    f = (c * inv_cmax) % p
+                    for e, ce in tail:
+                        pos = tuple(delta[i] + e[i] for i in range(num_vars))
+                        if in_j(pos):
+                            continue
+                        val = (vec.get(pos, 0) - f * ce) % p
+                        if val:
+                            if pos not in vec:
+                                heapq.heappush(heap, tuple(-x for x in pos))
+                            vec[pos] = val
+                        elif pos in vec:
+                            del vec[pos]
+                else:
+                    settled[r] = c
+                    del vec[r]
+            if settled:
+                residual_vecs.append(settled)
+
+        n_structural = n_cols - n_residual
+        if not residual_vecs:
+            return nrows - n_structural
+        rows = sorted(set().union(*residual_vecs))
+        index = {r: i for i, r in enumerate(rows)}
+        a = np.zeros((len(rows), len(residual_vecs)), dtype=np.int64)
+        for j, vec in enumerate(residual_vecs):
+            for r, c in vec.items():
+                a[index[r], j] = c
+        return nrows - n_structural - dense_rank_modp(a, p)
+
+    return length
 
 
-def _length_monomial_box(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
-                         num_vars: int, m: int) -> int:
-    in_j = _monomial_ideal_test(gens_q)
-    nrows = sum(1 for e in monomials_of_degree(num_vars, m) if not in_j(e))
-    if hyp is None or nrows == 0:
-        return nrows
-    dh = poly_degree(hyp)
-    if m < dh:
-        return nrows
-    terms = sorted(hyp.items(), key=lambda t: t[0], reverse=True)
-    (e_max, c_max), tail = terms[0], terms[1:]
-    inv_cmax = pow(c_max, -1, p)
-
-    n_cols = 0
-    n_residual = 0
-    residual_vecs: list[dict[tuple[int, ...], int]] = []
-    for mu in monomials_of_degree(num_vars, m - dh):
-        if in_j(mu):
-            continue
-        n_cols += 1
-        lead = tuple(mu[i] + e_max[i] for i in range(num_vars))
-        if not in_j(lead):
-            continue  # structural pivot: lead is unique to this column
-        n_residual += 1
-        vec: dict[tuple[int, ...], int] = {}
-        heap: list[tuple[int, ...]] = []
-        for e, c in hyp.items():
-            pos = tuple(mu[i] + e[i] for i in range(num_vars))
-            if not in_j(pos):
-                vec[pos] = c % p
-                heapq.heappush(heap, tuple(-x for x in pos))
-        settled: dict[tuple[int, ...], int] = {}
-        while heap:
-            r = tuple(-x for x in heapq.heappop(heap))
-            c = vec.get(r, 0)
-            if not c:
-                continue  # stale heap entry
-            delta = tuple(r[i] - e_max[i] for i in range(num_vars))
-            if min(delta) >= 0 and not in_j(delta):
-                # eliminate against the structural pivot with lead r; the
-                # replacement entries are strictly lex-smaller than r
-                del vec[r]
-                f = (c * inv_cmax) % p
-                for e, ce in tail:
-                    pos = tuple(delta[i] + e[i] for i in range(num_vars))
-                    if in_j(pos):
-                        continue
-                    val = (vec.get(pos, 0) - f * ce) % p
-                    if val:
-                        if pos not in vec:
-                            heapq.heappush(heap, tuple(-x for x in pos))
-                        vec[pos] = val
-                    elif pos in vec:
-                        del vec[pos]
-            else:
-                settled[r] = c
-                del vec[r]
-        if settled:
-            residual_vecs.append(settled)
-
-    n_structural = n_cols - n_residual
-    if not residual_vecs:
-        return nrows - n_structural
-    rows = sorted(set().union(*residual_vecs))
-    index = {r: i for i, r in enumerate(rows)}
-    a = np.zeros((len(rows), len(residual_vecs)), dtype=np.int64)
-    for j, vec in enumerate(residual_vecs):
-        for r, c in vec.items():
-            a[index[r], j] = c
-    return nrows - n_structural - dense_rank_modp(a, p)
-
-
-def _pure_power_setup(hyp: Optional[Poly], gens_q: Sequence[Poly], num_vars: int):
-    """(v, caps) when the pure-power path applies, else None.  Every
-    generator is a monomial; v is the variable of a pure power x_v^d of h,
-    the one with the largest cap when there are several."""
-    if num_vars != 3 or hyp is None:
-        return None
-    caps, mixed = _caps_and_mixed([next(iter(g)) for g in gens_q], 3)
-    if mixed or None in caps:
-        return None
-    d = poly_degree(hyp)
-    pure = [v for v in range(3)
-            if d and tuple(d if i == v else 0 for i in range(3)) in hyp]
-    if not pure:
-        return None
-    return max(pure, key=lambda v: caps[v]), caps
-
-
-def _length_pure_power(p: int, hyp: Poly, gens_q: Sequence[Poly], m: int) -> int:
-    v, caps = _pure_power_setup(hyp, gens_q, 3)
+def _pure_power_lengths(p: int, hyp: Poly, caps: Sequence[int],
+                        v: int) -> Callable[[int], int]:
     a, b = (i for i in range(3) if i != v)
     cv, ca, cb = caps[v], caps[a], caps[b]
     d = poly_degree(hyp)
-
-    def span(k: int) -> range:
-        """x_a-exponents of the monomials x_a^s x_b^(k-s) of A_k."""
-        return range(max(0, k - cb + 1), min(ca - 1, k) + 1)
-
-    # rows: the basis of B_m = sum_j A_(m-j) x_v^j; columns: the A-multiples
-    # of x_v^(c_v+i) mod h landing in degree m
-    row_spans = [span(m - j) for j in range(d)]
-    col_spans = [span(m - cv - i) for i in range(d)]
-    nrows = sum(map(len, row_spans))
-    ncols = sum(map(len, col_spans))
-    if nrows == 0 or ncols == 0:
-        return nrows
 
     # x_v^k mod h for k = c_v .. c_v+d-1, as state[j, s] = coefficient of
     # x_v^j x_a^s x_b^(k-j-s).  Multiplying by x_v shifts j up and replaces
@@ -341,52 +312,84 @@ def _length_pure_power(p: int, hyp: Poly, gens_q: Sequence[Poly], m: int) -> int
         if k >= cv:
             reductions.append(state)
 
-    row_start = np.cumsum([0] + [len(r) for r in row_spans])
-    col_start = np.cumsum([0] + [len(c) for c in col_spans])
-    matrix = np.zeros((nrows, ncols), dtype=np.int64)
-    for i, cs in enumerate(col_spans):
-        shifts = np.arange(cs.start, cs.stop)[:, None]
-        target = shifts + np.arange(ca)[None, :]  # x_a-exponent of each product
-        cols = np.broadcast_to(col_start[i] + shifts - cs.start, target.shape)
-        for j, rs in enumerate(row_spans):
-            keep = (target >= rs.start) & (target < rs.stop) & \
-                (reductions[i][j] != 0)[None, :]
-            rows = row_start[j] + target - rs.start
-            matrix[rows[keep], cols[keep]] = \
-                np.broadcast_to(reductions[i][j], target.shape)[keep]
-    return nrows - dense_rank_modp(matrix, p)
+    def span(k: int) -> range:
+        """x_a-exponents of the monomials x_a^s x_b^(k-s) of A_k."""
+        return range(max(0, k - cb + 1), min(ca - 1, k) + 1)
+
+    def length(m: int) -> int:
+        # rows: the basis of B_m = sum_j A_(m-j) x_v^j; columns: the
+        # A-multiples of x_v^(c_v+i) mod h landing in degree m
+        row_spans = [span(m - j) for j in range(d)]
+        col_spans = [span(m - cv - i) for i in range(d)]
+        nrows = sum(map(len, row_spans))
+        ncols = sum(map(len, col_spans))
+        if nrows == 0 or ncols == 0:
+            return nrows
+        row_start = np.cumsum([0] + [len(r) for r in row_spans])
+        col_start = np.cumsum([0] + [len(c) for c in col_spans])
+        matrix = np.zeros((nrows, ncols), dtype=np.int64)
+        for i, cs in enumerate(col_spans):
+            shifts = np.arange(cs.start, cs.stop)[:, None]
+            target = shifts + np.arange(ca)[None, :]  # x_a-exponent of each product
+            cols = np.broadcast_to(col_start[i] + shifts - cs.start, target.shape)
+            for j, rs in enumerate(row_spans):
+                keep = (target >= rs.start) & (target < rs.stop) & \
+                    (reductions[i][j] != 0)[None, :]
+                rows = row_start[j] + target - rs.start
+                matrix[rows[keep], cols[keep]] = \
+                    np.broadcast_to(reductions[i][j], target.shape)[keep]
+        return nrows - dense_rank_modp(matrix, p)
+
+    return length
 
 
-def _length_dense(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
-                  num_vars: int, m: int) -> int:
-    rows = list(monomials_of_degree(num_vars, m))
-    index = {e: i for i, e in enumerate(rows)}
-    columns = []
-    polys = ([hyp] if hyp is not None else []) + list(gens_q)
-    for poly in polys:
-        dg = poly_degree(poly)
-        if m < dg:
-            continue
-        for mu in monomials_of_degree(num_vars, m - dg):
-            col = np.zeros(len(rows), dtype=np.int64)
-            for e, c in poly.items():
-                pos = tuple(mu[i] + e[i] for i in range(num_vars))
-                col[index[pos]] = (col[index[pos]] + c) % p
-            columns.append(col)
-    if not columns:
-        return len(rows)
-    if len(rows) * len(columns) > _DENSE_CELL_LIMIT:
-        raise OracleScaleError(
-            f"dense rank of a {len(rows)} x {len(columns)} matrix exceeds the "
-            "size cap; use monomial generators for the structured path")
-    return len(rows) - dense_rank_modp(np.array(columns).T, p)
+def _dense_lengths(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
+                   num_vars: int) -> Callable[[int], int]:
+    polys = [(poly, poly_degree(poly))
+             for poly in ([hyp] if hyp is not None else []) + list(gens_q)]
+
+    def length(m: int) -> int:
+        rows = list(monomials_of_degree(num_vars, m))
+        index = {e: i for i, e in enumerate(rows)}
+        columns = []
+        for poly, dg in polys:
+            if m < dg:
+                continue
+            for mu in monomials_of_degree(num_vars, m - dg):
+                col = np.zeros(len(rows), dtype=np.int64)
+                for e, c in poly.items():
+                    pos = tuple(mu[i] + e[i] for i in range(num_vars))
+                    col[index[pos]] = (col[index[pos]] + c) % p
+                columns.append(col)
+        if not columns:
+            return len(rows)
+        if len(rows) * len(columns) > _DENSE_CELL_LIMIT:
+            raise OracleScaleError(
+                f"dense rank of a {len(rows)} x {len(columns)} matrix exceeds the "
+                "size cap; use monomial generators for the structured path")
+        return len(rows) - dense_rank_modp(np.array(columns).T, p)
+
+    return length
 
 
 def _num_vars(hyp: Optional[Poly], gens: Sequence[Poly]) -> int:
     return poly_num_vars(hyp if hyp is not None else gens[0])
 
 
-def _check_prime_power(p: int, q: int) -> None:
+def quotient_lengths(p: int, hypersurface: Optional[Poly],
+                     generators: Sequence[Poly], q: int,
+                     num_vars: Optional[int] = None) -> tuple[str, Callable[[int], int]]:
+    """Set up S/(h, g_1^q, ..., g_t^q) once and return its rank path
+    ("pure-power", "walk" or "dense"; see the module docstring) with
+    ``length(m)``, the length of its degree-m piece.
+
+    Raises ValueError when p is not prime, q is not a power of p, a
+    polynomial is constant or not homogeneous, or a coefficient is 0 mod p:
+    the brackets rest on freshman's dream, the grading on homogeneous forms
+    of positive degree, and the path choice on the terms of h mod p.  The
+    checks run once, before any path looks at a degree."""
+    if num_vars is None:
+        num_vars = _num_vars(hypersurface, generators)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     power = q
@@ -394,21 +397,6 @@ def _check_prime_power(p: int, q: int) -> None:
         power //= p
     if power != 1:
         raise ValueError(f"q = {q} is not a power of p = {p}")
-
-
-def graded_piece_length_raw(p: int, hypersurface: Optional[Poly],
-                            generators: Sequence[Poly], q: int, m: int,
-                            num_vars: Optional[int] = None) -> int:
-    """Length of the degree-m piece of S/(h, g_1^q, ..., g_t^q).
-
-    Raises ValueError when p is not prime, q is not a power of p, a
-    polynomial is constant or not homogeneous, or a coefficient is 0 mod p:
-    the brackets rest on freshman's dream, the grading on homogeneous forms
-    of positive degree, and the path choice on the terms of h mod p.  The
-    checks sit here because some paths return before they look at h."""
-    if num_vars is None:
-        num_vars = _num_vars(hypersurface, generators)
-    _check_prime_power(p, q)
     for poly in ([hypersurface] if hypersurface is not None else []) + list(generators):
         if poly_degree(poly) < 1:
             raise ValueError("polynomials must have positive degree")
@@ -416,22 +404,26 @@ def graded_piece_length_raw(p: int, hypersurface: Optional[Poly],
             raise ValueError(f"a coefficient of {dict(poly)} is 0 mod {p}")
     hyp = normalize_poly(hypersurface, p) if hypersurface is not None else None
     gens_q = [frobenius_power(g, q, p) for g in generators]
-    path = length_path(hyp, gens_q, num_vars)
-    if path == "pure-power":
-        return _length_pure_power(p, hyp, gens_q, m)
-    if path == "walk":
-        return _length_monomial_box(p, hyp, gens_q, num_vars, m)
-    return _length_dense(p, hyp, gens_q, num_vars, m)
-
-
-def length_path(hyp: Optional[Poly], gens_q: Sequence[Poly], num_vars: int) -> str:
-    """The rank path for a normalised h and bracketed generators:
-    "pure-power", "walk" or "dense" (see the module docstring)."""
     if any(len(g) != 1 for g in gens_q):
-        return "dense"
-    if _pure_power_setup(hyp, gens_q, num_vars) is not None:
-        return "pure-power"
-    return "walk"
+        return "dense", _dense_lengths(p, hyp, gens_q, num_vars)
+    if num_vars == 3 and hyp is not None:
+        # every generator a pure power and h containing a pure power x_v^d;
+        # v is the variable with the largest cap when there are several
+        caps, mixed = _caps_and_mixed([next(iter(g)) for g in gens_q], 3)
+        d = poly_degree(hyp)
+        pure = [v for v in range(3) if tuple(d if i == v else 0 for i in range(3)) in hyp]
+        if pure and not mixed and None not in caps:
+            v = max(pure, key=lambda v: caps[v])
+            return "pure-power", _pure_power_lengths(p, hyp, caps, v)
+    return "walk", _walk_lengths(p, hyp, gens_q, num_vars)
+
+
+def graded_piece_length_raw(p: int, hypersurface: Optional[Poly],
+                            generators: Sequence[Poly], q: int, m: int,
+                            num_vars: Optional[int] = None) -> int:
+    """Length of the degree-m piece of S/(h, g_1^q, ..., g_t^q); sweeps and
+    bisections should call ``quotient_lengths`` once instead."""
+    return quotient_lengths(p, hypersurface, generators, q, num_vars)[1](m)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +444,8 @@ class ColengthProfile:
 
 
 def _sweep_bound(hypersurface: Optional[Poly], generators: Sequence[Poly],
-                 q: int, num_vars: int) -> int:
+                 q: int) -> int:
+    num_vars = _num_vars(hypersurface, generators)
     gen_total = sum(poly_degree(g) for g in generators)
     base = poly_degree(hypersurface) if hypersurface is not None else num_vars
     return q * gen_total + base + 1
@@ -466,11 +459,11 @@ def colength_profile(p: int, hypersurface: Optional[Poly],
     zero, so the sweep may stop at the first zero; if the safety bound is
     passed without one the ideal did not have finite colength.
     """
-    num_vars = _num_vars(hypersurface, generators)
-    bound = _sweep_bound(hypersurface, generators, q, num_vars)
+    bound = _sweep_bound(hypersurface, generators, q)
+    _, length = quotient_lengths(p, hypersurface, generators, q)
     lengths: dict[int, int] = {}
     for m in range(bound + 1):
-        value = graded_piece_length_raw(p, hypersurface, generators, q, m, num_vars)
+        value = length(m)
         if value == 0:
             return ColengthProfile(p=p, q=q, lengths=lengths, top_nonzero=m - 1)
         lengths[m] = value
@@ -485,19 +478,15 @@ def top_nonzero_degree(p: int, hypersurface: Optional[Poly],
     Zero pieces are upward-closed in a standard graded quotient, which makes
     bisection valid and avoids computing the full profile at large q.
     """
-    num_vars = _num_vars(hypersurface, generators)
-    hi = _sweep_bound(hypersurface, generators, q, num_vars)
-
-    def is_zero(m: int) -> bool:
-        return graded_piece_length_raw(p, hypersurface, generators, q, m, num_vars) == 0
-
-    if not is_zero(hi):
+    hi = _sweep_bound(hypersurface, generators, q)
+    _, length = quotient_lengths(p, hypersurface, generators, q)
+    if length(hi) != 0:
         raise OracleError("no zero tail at the sweep bound; the ideal does "
                           "not have finite colength")
     lo = 0  # degree zero is never zero: the quotient contains the constants
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if is_zero(mid):
+        if length(mid) == 0:
             hi = mid
         else:
             lo = mid
@@ -514,7 +503,7 @@ def fn_sample(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
     pair: the finite-q sample of the density function."""
     if _pair_dimension(hypersurface, generators) != 2:
         raise ValueError("density samples are defined for two-dimensional pairs")
-    m = int(Fraction(x) * q)  # floor for nonnegative x
+    m = math.floor(Fraction(x) * q)  # negative for x < 0, where every length is 0
     value = graded_piece_length_raw(p, hypersurface, generators, q, m)
     return Fraction(value, q)
 
@@ -565,12 +554,7 @@ def scaling_check(p: int, hypersurface: Optional[Poly], generators: Sequence[Pol
     """Exact Frobenius-bracket consistency: the colengths of (I^[q0])^[q] and
     I^[q0*q] agree degree by degree on a sample grid."""
     bracketed = [frobenius_power(g, q0, p) for g in generators]
-    num_vars = _num_vars(hypersurface, generators)
-    top = _sweep_bound(hypersurface, generators, q0 * q, num_vars)
-    for i in range(num_points):
-        m = (top * i) // num_points
-        lhs = graded_piece_length_raw(p, hypersurface, bracketed, q, m, num_vars)
-        rhs = graded_piece_length_raw(p, hypersurface, generators, q0 * q, m, num_vars)
-        if lhs != rhs:
-            return False
-    return True
+    top = _sweep_bound(hypersurface, generators, q0 * q)
+    _, lhs = quotient_lengths(p, hypersurface, bracketed, q)
+    _, rhs = quotient_lengths(p, hypersurface, generators, q0 * q)
+    return all(lhs(m) == rhs(m) for m in ((top * i) // num_points for i in range(num_points)))

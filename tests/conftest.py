@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hkfun.bundle import HNData, Polarization, SyzygySpec
@@ -64,22 +65,20 @@ def brute_graded_length(p, hypersurface, generators, q, m, num_vars):
             matrix.append(col)
     if not matrix:
         return len(rows)
-    # plain gaussian elimination on the column list
+    # plain gaussian elimination mod p, one numpy row operation per pivot
+    a = np.array(matrix, dtype=np.int64) % p
     rank = 0
-    cols = [list(c) for c in matrix]
-    pivot_rows = []
-    for col in cols:
-        for r_idx, lead in pivot_rows:
-            f = col[r_idx]
-            if f:
-                inv = pow(lead[r_idx], -1, p)
-                factor = (f * inv) % p
-                for i in range(len(col)):
-                    col[i] = (col[i] - factor * lead[i]) % p
-        nz = next((i for i, v in enumerate(col) if v), None)
-        if nz is not None:
-            pivot_rows.append((nz, col))
-            rank += 1
+    for c in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, c])
+        if nonzero.size == 0:
+            continue
+        a[[rank, rank + nonzero[0]]] = a[[rank + nonzero[0], rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), -1, p) % p
+        below = rank + 1 + np.flatnonzero(a[rank + 1:, c])
+        a[below] = (a[below] - np.outer(a[below, c], a[rank])) % p
+        rank += 1
+        if rank == a.shape[0]:
+            break
     return len(rows) - rank
 
 

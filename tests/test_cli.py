@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hkfun import verify
 from hkfun.cli import decimal_string, main
 from hkfun.density import PairDensity
 from hkfun.piecewise import tent_function
@@ -60,7 +63,16 @@ def test_verify_case(capsys):
 def test_verify_list(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0
-    assert "fermat4-p17-q17" in out.split()
+    lines = out.splitlines()
+    assert "fermat4-p17-q17" in lines
+    # the one case that fails on correct code says so, with where to read why
+    marked = [line for line in lines if "fails by design" in line]
+    assert len(marked) == 1
+    assert marked[0].split()[0] == "volume-convergence"
+    assert 'README "Acceptance status"' in marked[0]
+    code, out, _ = run_cli(capsys, "verify", "--case", "volume-convergence")
+    assert code == 1
+    assert verify.FAILS_BY_DESIGN["volume-convergence"] in json.loads(out)["detail"]
 
 
 def test_oracle_profile_csv(capsys):
@@ -128,6 +140,15 @@ def test_volume_eval_flag(capsys):
     assert json.loads(out)["value_at"] == {"x": "7/2", "f": "15/8"}
 
 
+def test_oracle_fn_negative_x(capsys):
+    # the density vanishes on x < 0, also for -1/q < x < 0
+    code, out, _ = run_cli(capsys, "oracle", "--prime", "3", "--q", "3",
+                           "--hypersurface", "x*y - z^2", "--vars", "3",
+                           "--op", "fn", "--x=-1/4")
+    assert code == 0
+    assert json.loads(out)["fn_sample"] == "0"
+
+
 def test_oracle_curve_flag(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--prime", "17", "--q", "17",
                            "--fermat", "4", "--op", "fthreshold")
@@ -145,6 +166,23 @@ def test_decimal_string_correct_rounding():
     assert decimal_string(Fraction(7), 0) == "7"
 
 
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+       st.integers(0, 12))
+def test_decimal_string_matches_decimal_module(value, precision):
+    # A value n/d that is not a rounding tie at <= 12 places lies at least
+    # 1/(2 * 10^6 * 10^12) from one; the 60-digit quotient lies within 10^-50
+    # of n/d, and a tie is exact, so quantize rounds as the exact value would.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        quotient = Decimal(value.numerator) / Decimal(value.denominator)
+        expected = format(quotient.quantize(Decimal(1).scaleb(-precision),
+                                            rounding=ROUND_HALF_EVEN), "f")
+    if Decimal(expected) == 0:
+        expected = expected.lstrip("-")  # decimal_string writes no sign on zero
+    assert decimal_string(value, precision) == expected
+
+
 FTHRESHOLD = ("--op", "fthreshold")
 INVALID_ORACLE_INPUT = [
     ("3", "10", "x*y - z^2", FTHRESHOLD),    # q not a power of p
@@ -154,6 +192,7 @@ INVALID_ORACLE_INPUT = [
     ("3", "3", "x^2*y - y*z", ("--gens", "x,y,z,x*y", "--op", "fn", "--x", "5")),
     ("3", "3", "1", FTHRESHOLD),             # h constant
     ("3", "3", "x*y - z^2", ("--gens", "1,x,y", "--format", "csv")),  # unit ideal
+    ("5", "5", "x*y - z^2", ("--gens", "x,y", "--op", "fthreshold")),  # gens ignored
 ]
 
 

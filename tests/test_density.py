@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_parameter_tuple
 from hkfun.density import (
@@ -143,3 +146,18 @@ def test_pair_json_round_trip():
     back = PairDensity.from_dict(blob)
     assert back == s
     assert back.f == s.f
+
+
+@st.composite
+def pair_densities(draw):
+    """Parameter-ideal densities of dimension 1-3, with any provenance text."""
+    degrees = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    pair = parameter_density(draw(st.integers(1, 3)), degrees)
+    return dataclasses.replace(pair, provenance=draw(st.text(max_size=12)))
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(pair_densities())
+def test_json_round_trip_property(pair):
+    data = json.loads(json.dumps(pair.to_dict()))
+    assert PairDensity.from_dict(data) == pair

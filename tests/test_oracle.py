@@ -16,11 +16,11 @@ from hkfun.oracle import (
     fn_sample,
     fthreshold_estimate,
     graded_piece_length_raw,
-    length_path,
     monomial_alpha,
     normalize_poly,
     parse_polynomial,
     poly_degree,
+    quotient_lengths,
     scaling_check,
     top_nonzero_degree,
     trinomial_poly,
@@ -86,6 +86,27 @@ def test_profile_box_case_exact():
     profile = colength_profile(5, None, XY_VARS, 5)
     assert profile.lengths == {m: min(m + 1, 9 - m) for m in range(9)}
     assert profile.top_nonzero == 8
+
+
+def test_one_setup_per_quotient(monkeypatch):
+    """A sweep and a bisection bracket each generator once, not once per
+    degree."""
+    calls = []
+    bracket = oracle.frobenius_power
+
+    def counted(poly, q, p):
+        calls.append(poly)
+        return bracket(poly, q, p)
+
+    monkeypatch.setattr(oracle, "frobenius_power", counted)
+    # the pure-power path, the walk with and without h, and the dense path
+    cases = [(QUADRIC_CONE, XYZ_VARS), (trinomial_poly(cyclic(4)), XYZ_VARS), (None, XY_VARS),
+             (trinomial_poly(fermat(4)), [{(1, 0, 0): 1, (0, 1, 0): 1}] + XYZ_VARS[1:])]
+    for sweep in (colength_profile, top_nonzero_degree):
+        for h, gens in cases:
+            calls.clear()
+            sweep(5, h, gens, 5)
+            assert calls == gens
 
 
 def test_profile_quadric_cone():
@@ -222,14 +243,19 @@ def test_pure_power_path_matches_walk_and_definition(case):
     gens = [{tuple(n if k == i else 0 for k in range(3)): 1} for i, n in enumerate(ns)]
     hyp = normalize_poly(h, p)
     gens_q = [oracle.frobenius_power(g, q, p) for g in gens]
-    assert length_path(hyp, gens_q, 3) == "pure-power"
+    path, length = quotient_lengths(p, h, gens, q)
+    assert path == "pure-power"
+    walk = oracle._walk_lengths(p, hyp, gens_q, 3)
     for m in range(sum(ns) * q + poly_degree(h) + 2):
-        fast = graded_piece_length_raw(p, h, gens, q, m)
-        assert fast == oracle._length_monomial_box(p, hyp, gens_q, 3, m)
+        fast = length(m)
+        assert fast == walk(m)
         assert fast == brute_graded_length(p, h, gens, q, m, 3)
 
 
 def test_length_path_routes():
+    def length_path(h, gens, num_vars):
+        return quotient_lengths(3, h, gens, 3, num_vars)[0]
+
     box = XYZ_VARS
     for h in (fermat(4), fermat(5), fermat(6), TypeII(4, 1, 2, 1, 1, 3),
               TypeI(0, 5, 0, 5, 3, 2)):

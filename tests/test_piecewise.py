@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkfun.piecewise import (
     PiecewisePolynomial,
@@ -179,3 +181,27 @@ def test_is_nonnegative_piecewise():
     dip = PiecewisePolynomial.on_interval(0, 2, Polynomial([0, -1, 1]))
     assert not dip.is_nonnegative()
     assert PiecewisePolynomial.from_global(Polynomial([0, 0, 1])).is_nonnegative()
+
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+POLYNOMIALS = st.lists(RATIONALS, max_size=4).map(Polynomial)
+
+
+@st.composite
+def piecewise_polynomials(draw):
+    """Arbitrary breakpoints and pieces; equal neighbours, zero pieces and a
+    single global polynomial all occur."""
+    breakpoints = sorted(draw(st.sets(RATIONALS, max_size=5)))
+    pieces = [draw(POLYNOMIALS) for _ in breakpoints[1:]]
+    left = draw(POLYNOMIALS)
+    right = draw(POLYNOMIALS) if breakpoints else left
+    return PiecewisePolynomial(breakpoints, pieces, left, right)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(piecewise_polynomials())
+def test_json_round_trip_property(f):
+    data = json.loads(json.dumps(f.to_dict()))
+    restored = PiecewisePolynomial.from_dict(data)
+    assert restored == f
+    assert restored.to_dict() == f.to_dict()
