@@ -404,6 +404,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.precision < 0:
+            raise ValueError(f"--precision must be >= 0, got {args.precision}")
         return args.func(args)
     except (ValueError, KeyError, ArithmeticError, OSError, oracle.OracleError) as exc:
         print(f"hkfun: error: {exc}", file=sys.stderr)

@@ -20,6 +20,16 @@ degree m, so a sweep or a bisection pays for the setup once.
   1993).  The d reductions of x_v^(c_v+i) are the setup; a degree is then a
   rank problem with at most d*max(c) rows and columns, in place of a walk
   over all monomials of that degree.
+
+  A curve without a pure power takes this path too when the caps are one Q
+  that is a power of p, as for m^[q].  Over F_p every linear form satisfies
+  l^Q = sum a_i x_i^Q, so (x^Q, y^Q, z^Q) is fixed by every graded linear
+  automorphism g over F_p, and S/(h, x^Q, y^Q, z^Q) has the same graded
+  lengths as S/(h o g, x^Q, y^Q, z^Q).  For the first point P of P^2(F_p)
+  with h(P) != 0, written with P_i = 1, the shear x_j -> x_j + P_j x_i
+  (j != i) makes h(P) the coefficient of x_i^d.  Such a point exists when
+  p > d: a nonzero form of partial degrees below p does not vanish on all
+  of F_p^3.  A curve through every point of P^2(F_p) takes the walk.
 - ``"walk"``: every other case where every generator is a monomial.  The
   quotient by the generator columns is a box of standard monomials and the
   hypersurface columns are eliminated structurally: a column whose
@@ -343,6 +353,45 @@ def _pure_power_lengths(p: int, hyp: Poly, caps: Sequence[int],
     return length
 
 
+def _point_off_curve(hyp: Poly, p: int) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(i, P) for the first point P of P^2(F_p) with h(P) != 0 mod p, written
+    with first nonzero coordinate P_i = 1; None when h vanishes on all of
+    P^2(F_p), which needs p <= deg h."""
+    for i in range(3):
+        for rest in product(range(p), repeat=2 - i):
+            point = (0,) * i + (1,) + rest
+            value = sum(c * math.prod(pow(x, k, p) for x, k in zip(point, e))
+                        for e, c in hyp.items())
+            if value % p:
+                return i, point
+    return None
+
+
+def _shear(hyp: Poly, p: int, i: int, point: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """h after x_j -> x_j + P_j x_i for every j != i; its x_i^d coefficient
+    is h(P)."""
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in hyp.items():
+        terms = {e: c}
+        for j in range(3):
+            if j == i or not point[j] or not e[j]:
+                continue
+            expanded: dict[tuple[int, ...], int] = {}
+            for f, cf in terms.items():
+                # the terms of (x_j + P_j x_i)^e_j with k factors P_j x_i
+                for k in range(e[j] + 1):
+                    g = list(f)
+                    g[j] -= k
+                    g[i] += k
+                    g = tuple(g)
+                    expanded[g] = (expanded.get(g, 0)
+                                   + cf * math.comb(e[j], k) * pow(point[j], k, p)) % p
+            terms = expanded
+        for f, cf in terms.items():
+            out[f] = (out.get(f, 0) + cf) % p
+    return {f: c for f, c in out.items() if c}
+
+
 def _dense_lengths(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
                    num_vars: int) -> Callable[[int], int]:
     polys = [(poly, poly_degree(poly))
@@ -376,6 +425,12 @@ def _num_vars(hyp: Optional[Poly], gens: Sequence[Poly]) -> int:
     return poly_num_vars(hyp if hyp is not None else gens[0])
 
 
+def _is_power_of(q: int, p: int) -> bool:
+    while q > 1 and q % p == 0:
+        q //= p
+    return q == 1
+
+
 def quotient_lengths(p: int, hypersurface: Optional[Poly],
                      generators: Sequence[Poly], q: int,
                      num_vars: Optional[int] = None) -> tuple[str, Callable[[int], int]]:
@@ -392,10 +447,7 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly],
         num_vars = _num_vars(hypersurface, generators)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    power = q
-    while power > 1 and power % p == 0:
-        power //= p
-    if power != 1:
+    if not _is_power_of(q, p):
         raise ValueError(f"q = {q} is not a power of p = {p}")
     for poly in ([hypersurface] if hypersurface is not None else []) + list(generators):
         if poly_degree(poly) < 1:
@@ -412,9 +464,17 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly],
         caps, mixed = _caps_and_mixed([next(iter(g)) for g in gens_q], 3)
         d = poly_degree(hyp)
         pure = [v for v in range(3) if tuple(d if i == v else 0 for i in range(3)) in hyp]
-        if pure and not mixed and None not in caps:
-            v = max(pure, key=lambda v: caps[v])
-            return "pure-power", _pure_power_lengths(p, hyp, caps, v)
+        if not mixed and None not in caps:
+            if pure:
+                v = max(pure, key=lambda v: caps[v])
+                return "pure-power", _pure_power_lengths(p, hyp, caps, v)
+            # caps (x^Q, y^Q, z^Q) with Q a power of p: a shear over F_p
+            # changes no length and gives h a pure power (module docstring)
+            if len(set(caps)) == 1 and _is_power_of(caps[0], p) \
+                    and (found := _point_off_curve(hyp, p)) is not None:
+                i, point = found
+                sheared = _shear(hyp, p, i, point)
+                return "pure-power", _pure_power_lengths(p, sheared, caps, i)
     return "walk", _walk_lengths(p, hyp, gens_q, num_vars)
 
 

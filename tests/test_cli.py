@@ -193,6 +193,7 @@ INVALID_ORACLE_INPUT = [
     ("3", "3", "1", FTHRESHOLD),             # h constant
     ("3", "3", "x*y - z^2", ("--gens", "1,x,y", "--format", "csv")),  # unit ideal
     ("5", "5", "x*y - z^2", ("--gens", "x,y", "--op", "fthreshold")),  # gens ignored
+    ("7", "7", "x*y - z^2", ("--op", "ehk", "--precision", "-2")),  # negative precision
 ]
 
 

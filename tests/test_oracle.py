@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_graded_length
 from hkfun import oracle
@@ -100,7 +100,8 @@ def test_one_setup_per_quotient(monkeypatch):
 
     monkeypatch.setattr(oracle, "frobenius_power", counted)
     # the pure-power path, the walk with and without h, and the dense path
-    cases = [(QUADRIC_CONE, XYZ_VARS), (trinomial_poly(cyclic(4)), XYZ_VARS), (None, XY_VARS),
+    cases = [(QUADRIC_CONE, XYZ_VARS), (trinomial_poly(cyclic(4)), variable_powers(3, 2)),
+             (None, XY_VARS),
              (trinomial_poly(fermat(4)), [{(1, 0, 0): 1, (0, 1, 0): 1}] + XYZ_VARS[1:])]
     for sweep in (colength_profile, top_nonzero_degree):
         for h, gens in cases:
@@ -261,10 +262,96 @@ def test_length_path_routes():
               TypeI(0, 5, 0, 5, 3, 2)):
         assert length_path(trinomial_poly(h), box, 3) == "pure-power"
     assert length_path(QUADRIC_CONE, box, 3) == "pure-power"
+    # no pure power in h: a shear over F_3 gives it one
     for h in (cyclic(4), cyclic(5), cyclic(6), TypeI(1, 3, 1, 3, 3, 1)):
-        assert length_path(trinomial_poly(h), box, 3) == "walk"
+        assert length_path(trinomial_poly(h), box, 3) == "pure-power"
+    # caps x^6, y^6, z^6: 6 is not a power of 3, so a shear moves the ideal
+    assert length_path(trinomial_poly(cyclic(4)), variable_powers(3, 2), 3) == "walk"
+    # x^2 y + x y^2 + y^2 z + y z^2 vanishes on every point of P^2(F_2)
+    no_point = {(2, 1, 0): 1, (1, 2, 0): 1, (0, 2, 1): 1, (0, 1, 2): 1}
+    assert quotient_lengths(2, no_point, box, 2)[0] == "walk"
     assert length_path(SEGRE_QUADRIC, variable_powers(4, 1), 4) == "walk"
     fermat4 = trinomial_poly(fermat(4))
     assert length_path(fermat4, box + [{(1, 1, 0): 1}], 3) == "walk"
     non_monomial = [{(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}]
     assert length_path(fermat4, non_monomial, 3) == "dense"
+
+
+def _vanishes_on_plane(h, p):
+    """h(P) = 0 mod p at every point of F_p^3, straight from the definition."""
+    return all(sum(c * x ** e[0] * y ** e[1] * z ** e[2] for e, c in h.items()) % p == 0
+               for x in range(p) for y in range(p) for z in range(p))
+
+
+@st.composite
+def sheared_cases(draw):
+    """A curve without a pure power over (x^n, y^n, z^n)^[q], with caps Q = nq
+    up to 8: a power of p (the shear route) or not (the walk).  The degree
+    shrinks as Q grows, to keep the definition-level elimination small."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    # one (n, q) per cap: (x^n)^[q] depends on nq alone
+    by_cap = {n * q: (n, q) for q in (p, p * p) for n in (1, 2, 3, p) if n * q <= 8}
+    n, q = draw(st.sampled_from(sorted(by_cap.values())))
+    d = draw(st.integers(2, 6 if n * q <= 5 else 3))
+    mixed = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)
+             if max(i, j, d - i - j) < d]
+    terms = draw(st.lists(st.sampled_from(mixed), min_size=1, max_size=4, unique=True))
+    h = {e: draw(st.integers(1, p - 1)) for e in terms}
+    return p, n, q, h
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(sheared_cases())
+@example((3, 3, 3, {(1, 1, 0): 1, (0, 1, 1): 2, (1, 0, 1): 1}))  # (x^3, y^3, z^3)^[3]
+# the walk fallbacks: caps 6, not a power of 3 or of 2, and a curve through
+# every point of P^2(F_2)
+@example((3, 2, 3, trinomial_poly(cyclic(4))))
+@example((2, 3, 2, {(1, 1, 0): 1}))
+@example((2, 1, 2, {(2, 1, 0): 1, (1, 2, 0): 1, (0, 2, 1): 1, (0, 1, 2): 1}))
+def test_shear_route_matches_walk_and_definition(case):
+    p, n, q, h = case
+    gens = variable_powers(3, n)
+    cap = n * q
+    power_of_p = any(cap == p ** k for k in range(5))
+    path, length = quotient_lengths(p, h, gens, q)
+    assert path == ("pure-power" if power_of_p and not _vanishes_on_plane(h, p) else "walk")
+    walk = oracle._walk_lengths(p, normalize_poly(h, p),
+                                [oracle.frobenius_power(g, q, p) for g in gens], 3)
+    for m in range(3 * cap + poly_degree(h) + 2):
+        fast = length(m)
+        assert fast == walk(m)
+        assert fast == brute_graded_length(p, h, gens, q, m, 3)
+
+
+@st.composite
+def walk_cases(draw):
+    """Any hypersurface (pure powers or not, or none) over unequal caps
+    (n_x, n_y, n_z)^[q], sometimes with a mixed monomial generator."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    q = draw(st.sampled_from([x for x in (p, p * p) if x <= 5]))
+    budget = max(3, 12 // q)  # n_x + n_y + n_z
+    ns = []
+    for left in (2, 1, 0):
+        ns.append(draw(st.integers(1, min(3, budget - sum(ns) - left))))
+    gens = [{tuple(n if k == i else 0 for k in range(3)): 1} for i, n in enumerate(ns)]
+    if draw(st.booleans()):
+        gens.append({draw(st.sampled_from([(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1),
+                                           (2, 1, 0), (0, 1, 2)])): 1})
+    h = None
+    if draw(st.integers(0, 4)):
+        d = draw(st.integers(1, 4))
+        monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+        terms = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4,
+                              unique=True))
+        h = {e: draw(st.integers(1, p - 1)) for e in terms}
+    return p, q, gens, h
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(walk_cases())
+def test_walk_matches_definition(case):
+    p, q, gens, h = case
+    walk = oracle._walk_lengths(p, h, [oracle.frobenius_power(g, q, p) for g in gens], 3)
+    top = q * sum(sum(next(iter(g))) for g in gens[:3]) + (poly_degree(h) if h else 3) + 1
+    for m in range(top + 1):
+        assert walk(m) == brute_graded_length(p, h, gens, q, m, 3)

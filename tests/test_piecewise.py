@@ -205,3 +205,52 @@ def test_json_round_trip_property(f):
     restored = PiecewisePolynomial.from_dict(data)
     assert restored == f
     assert restored.to_dict() == f.to_dict()
+
+
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _samples(a, b, n=64):
+    return [a + (b - a) * Fraction(i, n) for i in range(n + 1)]
+
+
+@st.composite
+def factored_on_interval(draw):
+    """c * prod (x - r)^k, times (x - s)^2 + t with t > 0 or not, on [a, b]:
+    every real root is a known rational, and roots, touching double roots
+    and endpoints often coincide."""
+    roots = draw(st.lists(st.tuples(SMALL_RATIONALS, st.integers(1, 2)), max_size=3))
+    poly = Polynomial([draw(st.sampled_from([-2, -1, 1, 3]))])
+    for r, k in roots:
+        for _ in range(k):
+            poly = poly * Polynomial([-r, 1])
+    if draw(st.booleans()):
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(1, 3))
+        poly = poly * Polynomial([s * s + t, -2 * s, 1])
+    a, b = sorted(draw(st.lists(SMALL_RATIONALS, min_size=2, max_size=2)))
+    return poly, [r for r, _ in roots], a, b
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(factored_on_interval())
+def test_nonneg_on_closed_matches_sign_at_roots_and_samples(case):
+    poly, roots, a, b = case
+    # the sign is constant between consecutive real roots, so the endpoints,
+    # the roots inside and one point between each pair decide it exactly
+    marks = sorted({a, b} | {r for r in roots if a <= r <= b})
+    points = marks + [(u + v) / 2 for u, v in zip(marks, marks[1:])]
+    expected = all(poly(x) >= 0 for x in points)
+    assert is_nonneg_on_closed(poly, a, b) == expected
+    if expected:
+        assert all(poly(x) >= 0 for x in _samples(a, b))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.integers(-5, 5), max_size=6).map(Polynomial),
+       SMALL_RATIONALS, SMALL_RATIONALS)
+def test_nonneg_on_closed_never_contradicts_sampling(poly, a, b):
+    # roots of a random integer polynomial are not known exactly; a negative
+    # sample refutes nonnegativity, and no sample may refute a True answer
+    a, b = min(a, b), max(a, b)
+    negative = any(poly(x) < 0 for x in _samples(a, b))
+    assert not (negative and is_nonneg_on_closed(poly, a, b))
