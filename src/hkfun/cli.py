@@ -189,10 +189,13 @@ def _curve_from_args(args):
         return fermat(args.fermat)
     if args.cyclic:
         return cyclic(args.cyclic)
-    if args.typeI:
-        return TypeI(*_int_list(args.typeI))
-    if args.typeII:
-        return TypeII(*_int_list(args.typeII))
+    for flag, text, shape in (("--typeI", args.typeI, TypeI),
+                              ("--typeII", args.typeII, TypeII)):
+        if text:
+            exps = _int_list(text)
+            if len(exps) != 6:
+                raise ValueError(f"{flag} takes 6 integers, got {len(exps)}")
+            return shape(*exps)
     return None
 
 

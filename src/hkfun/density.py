@@ -120,16 +120,13 @@ class SymmetryClass(enum.Enum):
     OTHER = "other"
 
 
-_SAMPLE_GRID = [Fraction(k, 64) for k in range(1, 64)]
-
-
 def symmetry_class(p: PairDensity) -> SymmetryClass:
     """Shape classification of the density of (R, m).
 
     ``SYMMETRIC_AT_HALF_D`` when f(x) = f(d - x) exactly.  For d = 2,
-    ``STRICTLY_LEFT_HEAVY`` when f(1-y) > f(1+y) for every y in (0,1) - a
-    fixed rational grid rules the easy cases out, and an exact piecewise sign
-    analysis decides the strict inequality on each interval.
+    ``STRICTLY_LEFT_HEAVY`` when f(1-y) > f(1+y) for every y in (0,1), decided
+    by an exact piecewise sign analysis: on each open interval between
+    breakpoints and at each interior breakpoint.
     """
     if p.f == p.f.reflect(p.dim):
         return SymmetryClass.SYMMETRIC_AT_HALF_D
@@ -138,9 +135,6 @@ def symmetry_class(p: PairDensity) -> SymmetryClass:
     left = p.f.compose_affine(-1, 1)   # y -> f(1 - y)
     right = p.f.compose_affine(1, 1)   # y -> f(1 + y)
     diff = left - right
-    for y in _SAMPLE_GRID:
-        if diff(y) <= 0:
-            return SymmetryClass.OTHER
     lo, hi = Fraction(0), Fraction(1)
     cuts = [lo] + [b for b in diff.breakpoints if lo < b < hi] + [hi]
     for a, b in zip(cuts, cuts[1:]):

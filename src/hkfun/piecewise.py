@@ -125,11 +125,13 @@ class Polynomial:
     def compose_affine(self, a: QLike, b: QLike) -> "Polynomial":
         """Return the polynomial x -> P(a*x + b)."""
         a, b = as_fraction(a), as_fraction(b)
-        inner = Polynomial([b, a])
-        acc = _ZERO_POLY
+        # Horner on coefficient lists: out <- out * (a*x + b) + c
+        out: list[Fraction] = []
         for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.constant(c)
-        return acc
+            out = ([b * out[0] + c]
+                   + [b * out[i] + a * out[i - 1] for i in range(1, len(out))]
+                   + [a * out[-1]]) if out else [c]
+        return Polynomial(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -221,6 +223,9 @@ def count_roots_open(p: Polynomial, a: QLike, b: QLike) -> int:
     sf = squarefree_part(p)
     if sf.degree < 1:
         return 0
+    if sf.degree == 1:
+        c0, c1 = sf.coeffs
+        return 1 if a < -c0 / c1 < b else 0
     chain = _sturm_chain(sf)
     n = _sign_variations(chain, a) - _sign_variations(chain, b)
     if sf(b) == 0:

@@ -229,34 +229,17 @@ def multiplicative_order(l: int, modulus: int) -> int:
     return order
 
 
-def _min_odd_corner_distance(v: tuple[Fraction, ...]) -> Optional[Fraction]:
-    """Minimum taxicab distance below 1 from v to an integer point with odd
-    coordinate sum, or None.
-
-    Any distance below 1 forces each coordinate of the witness to be the
-    floor or ceiling of the corresponding entry, so scanning the corner set
-    is exhaustive.
-    """
-    candidate_sets = []
-    for x in v:
-        floor = x.numerator // x.denominator
-        candidate_sets.append((floor,) if floor == x else (floor, floor + 1))
-    best: Optional[Fraction] = None
-    for u in product(*candidate_sets):
-        if sum(u) % 2 == 1:
-            dist = taxicab_distance(v, u)
-            if dist < 1 and (best is None or dist < best):
-                best = dist
-    return best
-
-
 def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
     """Scan s = 0, 1, ..., ord(l) - 1 for the first step where some odd-sum
-    corner comes within taxicab distance 1 of l^s * t_h * n.
+    corner comes within taxicab distance 1 of v = l^s * t_h * n mod 2.
 
-    The vector is reduced modulo 2 componentwise (the corner distance only
-    depends on that residue), which keeps the arithmetic small for elements
-    of large order.  The returned T carries the lambda-denominator
+    The scan runs in integers over lambda = ``inv.lam``: v_i = N_i / lambda
+    with N_i = (l^s * alpha_i * n) mod 2*lambda for alpha_i in (alpha, beta,
+    nu) (the corner distance only depends on v mod 2).  A distance below 1
+    forces each coordinate of the witness to be floor(v_i) or floor(v_i) + 1,
+    the latter only when v_i is not an integer, so scanning this corner set
+    is exhaustive; an odd-sum corner u has distance numerator
+    sum |N_i - u_i * lambda|.  The returned T carries the lambda-denominator
     normalization described in the module docstring.
     """
     if n < 1:
@@ -265,14 +248,29 @@ def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
     modulus = 2 * lam_h
     if gcd(l, modulus) != 1:
         raise ValueError(f"l must be coprime to {modulus}")
+    lam = inv.lam
     a = inv.common_factor
-    components = [(t.numerator, t.denominator) for t in inv.t_h]
+    weights = (inv.alpha * n, inv.beta * n, inv.nu * n)
+    ls = 1
     for s in range(multiplicative_order(l, modulus)):
-        ls = pow(l, s, modulus)
-        v = tuple(Fraction((ls * num * n) % (2 * den), den) for num, den in components)
-        best = _min_odd_corner_distance(v)
+        corners = []
+        for w in weights:
+            num = (ls * w) % (2 * lam)
+            floor = num // lam
+            rest = num - floor * lam
+            # (coordinate, distance numerator) for floor and, off the
+            # integers, floor + 1
+            corners.append(((floor, rest), (floor + 1, lam - rest)) if rest
+                           else ((floor, 0),))
+        best = None
+        for (u0, e0), (u1, e1), (u2, e2) in product(*corners):
+            if (u0 + u1 + u2) % 2 == 1:
+                dist = e0 + e1 + e2
+                if dist < lam and (best is None or dist < best):
+                    best = dist
         if best is not None:
-            return TaxicabResult(T=1 - (1 - best) / a, D=s)
+            return TaxicabResult(T=1 - (1 - Fraction(best, lam)) / a, D=s)
+        ls = (ls * l) % modulus
     return TaxicabResult(T=Fraction(1), D=None)
 
 

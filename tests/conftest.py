@@ -45,6 +45,19 @@ def brute_graded_length(p, hypersurface, generators, q, m, num_vars):
             out.extend((e,) + r for r in monomials(nv - 1, deg - e))
         return out
 
+    # pigeonhole: once every variable has a pure-power generator x_i^c_i,
+    # each monomial of degree m > sum(c_i - 1) has some exponent >= c_i
+    caps = {}
+    for g in generators:
+        if len(g) == 1:
+            (e, c), = g.items()
+            support = [i for i, x in enumerate(e) if x]
+            if c % p and len(support) == 1:
+                i = support[0]
+                caps[i] = min(caps.get(i, e[i] * q), e[i] * q)
+    if len(caps) == num_vars and m > sum(c - 1 for c in caps.values()):
+        return 0
+
     rows = monomials(num_vars, m)
     index = {e: i for i, e in enumerate(rows)}
     polys = []

@@ -104,6 +104,18 @@ def test_error_exit_is_one_line(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("trinomial", "--typeI", "1,2"),
+    ("trinomial", "--typeII", "4,1,2,1,1,3,9"),
+])
+def test_malformed_curve_is_one_line_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"hkfun: error: {argv[1]} takes 6 integers")
+    assert err.count("\n") == 1
+
+
 def test_malformed_json_reports_location(tmp_path, capsys):
     bad = tmp_path / "pair.json"
     bad.write_text('{"dim": 2,,}')

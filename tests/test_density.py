@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_parameter_tuple
+from conftest import random_parameter_tuple, random_syzygy_spec
+from hkfun.bundle import syzygy_pair_density
 from hkfun.density import (
     PairDensity,
     RegularityVerdict,
@@ -123,6 +124,34 @@ def test_symmetry_classes():
     assert symmetry_class(tent_pair()) is SymmetryClass.SYMMETRIC_AT_HALF_D
     assert symmetry_class(quadric_cone_pair()) is SymmetryClass.STRICTLY_LEFT_HEAVY
     assert symmetry_class(parameter_density(1, (1, 2))) is SymmetryClass.OTHER
+
+
+GRID = [Fraction(k, 64) for k in range(1, 64)]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_left_heavy_verdict_holds_on_sample_grid(seed):
+    # a 1/64 grid is a necessary condition only: a left-heavy verdict must
+    # never meet a grid point where f(1 - y) <= f(1 + y)
+    pair = syzygy_pair_density(random_syzygy_spec(random.Random(seed)))
+    if symmetry_class(pair) is SymmetryClass.STRICTLY_LEFT_HEAVY:
+        assert all(pair.f(1 - y) > pair.f(1 + y) for y in GRID)
+
+
+def test_symmetry_touching_zero_off_grid():
+    # f(1 - y) - f(1 + y) is 3y/2 on (0, 1/6), 1/2 - 3y/2 on (1/6, 1/3) and
+    # positive after: it reaches 0 only at the breakpoint y = 1/3, which no
+    # grid point hits, so the exact analysis alone rejects the density
+    nodes = [(0, 0), (Fraction(2, 3), 2), (1, 3), (Fraction(7, 6), Fraction(9, 4)),
+             (Fraction(4, 3), 2), (Fraction(3, 2), 0)]
+    pieces = [Polynomial([y0 - x0 * (y1 - y0) / (x1 - x0), (y1 - y0) / (x1 - x0)])
+              for (x0, y0), (x1, y1) in zip(nodes, nodes[1:])]
+    pair = PairDensity(dim=2, mult=3, f=PiecewisePolynomial([x for x, _ in nodes], pieces))
+    diff = [pair.f(1 - y) - pair.f(1 + y) for y in GRID]
+    assert all(d > 0 for d in diff)
+    assert pair.f(Fraction(2, 3)) == pair.f(Fraction(4, 3))
+    assert symmetry_class(pair) is SymmetryClass.OTHER
 
 
 def test_regularity_verdict():

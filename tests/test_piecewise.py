@@ -254,3 +254,61 @@ def test_nonneg_on_closed_never_contradicts_sampling(poly, a, b):
     a, b = min(a, b), max(a, b)
     negative = any(poly(x) < 0 for x in _samples(a, b))
     assert not (negative and is_nonneg_on_closed(poly, a, b))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(RATIONALS.filter(bool), SMALL_RATIONALS, st.integers(1, 3),
+       st.sampled_from(["root", "below", "above", "free"]),
+       st.sampled_from(["root", "below", "above", "free"]),
+       SMALL_RATIONALS, SMALL_RATIONALS)
+def test_count_roots_open_linear_matches_explicit_root(c, r, k, a_at, b_at, a_free, b_free):
+    # c * (x - r)^k has the single distinct root r; endpoints on, below and
+    # above it decide the strict inequalities of the open interval
+    poly = Polynomial([c])
+    for _ in range(k):
+        poly = poly * Polynomial([-r, 1])
+    at = {"root": r, "below": r - Fraction(1, 3), "above": r + Fraction(1, 3)}
+    a, b = at.get(a_at, a_free), at.get(b_at, b_free)
+    assert count_roots_open(poly, a, b) == (1 if a < r < b else 0)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(piecewise_polynomials(), piecewise_polynomials(), piecewise_polynomials())
+def test_piecewise_algebra_laws(f, g, h):
+    assert f + g == g + f
+    assert f * g == g * f
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(piecewise_polynomials(), RATIONALS.filter(bool), RATIONALS,
+       RATIONALS.filter(bool), RATIONALS)
+def test_compose_affine_composes(f, a, b, c, e):
+    # g(x) = f(a x + b), then g(c x + e) = f(a c x + a e + b); both sides are
+    # right-continuous representatives of one function, so they are equal
+    assert f.compose_affine(a, b).compose_affine(c, e) == f.compose_affine(a * c, a * e + b)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(POLYNOMIALS, RATIONALS, RATIONALS)
+def test_polynomial_compose_affine_matches_evaluation(poly, a, b):
+    composed = poly.compose_affine(a, b)
+    assert composed.degree <= poly.degree
+    for x in _samples(Fraction(-3), Fraction(3), 12):
+        assert composed(x) == poly(a * x + b)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(piecewise_polynomials(), RATIONALS)
+def test_canonical_form_rebuilds_equal(f, cut):
+    rebuilt = PiecewisePolynomial(f.breakpoints, f.pieces, f.left_tail, f.right_tail)
+    assert rebuilt == f and hash(rebuilt) == hash(f)
+    assert rebuilt.breakpoints == f.breakpoints and rebuilt.pieces == f.pieces
+    # a redundant breakpoint inside a segment is dropped again
+    if cut not in f.breakpoints:
+        bps = sorted(f.breakpoints + (cut,))
+        segs = [f.segment_at(x) for x in bps]
+        split = PiecewisePolynomial(bps, segs[:-1], f.left_tail, f.right_tail)
+        assert split == f

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import floor, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkfun.trinomial import (
     Irregular,
@@ -109,6 +111,37 @@ def test_taxicab_step_below_order():
             res = taxicab_search(inv, 1, l)
             if res.D is not None:
                 assert res.D < multiplicative_order(l, 2 * inv.lambda_h)
+
+
+def _fraction_corner_scan(inv, n, l):
+    """The residue search written out over Fractions with the public
+    taxicab_distance: every odd-sum corner of floor/floor+1 around
+    l^s * t_h * n mod 2, at every step s below the order of l."""
+    for s in range(multiplicative_order(l, 2 * inv.lambda_h)):
+        v = tuple(Fraction(l ** s * x * n, inv.lam) % 2 for x in (inv.alpha, inv.beta, inv.nu))
+        corners = product(*[(floor(x), floor(x) + 1) for x in v])
+        below = [dist for dist in (taxicab_distance(v, u) for u in corners if sum(u) % 2)
+                 if dist < 1]
+        if below:
+            return 1 - (1 - min(below)) / inv.common_factor, s
+    return Fraction(1), None
+
+
+@st.composite
+def scan_inputs(draw):
+    inv = TrinomialInvariants(*(draw(st.integers(1, 24)) for _ in range(3)),
+                              lam=draw(st.integers(1, 48)))
+    modulus = 2 * inv.lambda_h
+    units = [l for l in range(1, modulus) if gcd(l, modulus) == 1]
+    return inv, draw(st.integers(1, 5)), draw(st.sampled_from(units))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(scan_inputs())
+def test_taxicab_search_matches_fraction_corner_scan(case):
+    inv, n, l = case
+    res = taxicab_search(inv, n, l)
+    assert (res.T, res.D) == _fraction_corner_scan(inv, n, l)
 
 
 def test_taxicab_search_rejects_non_units():
