@@ -21,7 +21,7 @@ from .bundle import HNData, Polarization, SyzygySpec, bundle_alpha, bundle_densi
 from .density import PairDensity, segre
 from .piecewise import PiecewisePolynomial, as_fraction, fraction_str
 from .trinomial import Irregular, TypeI, TypeII, classify, cyclic, \
-    f_threshold, fermat, residue_table
+    f_threshold, fermat, is_prime, residue_table
 from .volume import BoxSliceSpec, parameter_density, slice_volume
 
 
@@ -65,7 +65,6 @@ def _density_window(f: PiecewisePolynomial) -> tuple[Fraction, Fraction]:
 
 def _sample_rows(f: PiecewisePolynomial, n: int, precision: int) -> list[dict]:
     lo, hi = _density_window(f)
-    n = max(2, n)
     rows = []
     for j in range(n):
         x = lo + (hi - lo) * j / (n - 1)
@@ -221,6 +220,8 @@ def _cmd_trinomial(args) -> int:
         payload["threshold_dec"] = decimal_string(value, args.precision)
         _emit(payload, [{"threshold": fraction_str(value)}], args)
         return 0
+    if args.prime is not None and not is_prime(args.prime):
+        raise ValueError(f"{args.prime} is not prime")
     if isinstance(kind, Irregular):
         value = f_threshold(curve, args.n, 2)
         payload["n"] = args.n
@@ -409,6 +410,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.precision < 0:
             raise ValueError(f"--precision must be >= 0, got {args.precision}")
+        if args.samples < 2:
+            raise ValueError(f"--samples must be >= 2, got {args.samples}")
         return args.func(args)
     except (ValueError, KeyError, ArithmeticError, OSError, oracle.OracleError) as exc:
         print(f"hkfun: error: {exc}", file=sys.stderr)

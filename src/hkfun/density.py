@@ -44,7 +44,10 @@ class PairDensity:
             raise ValueError("multiplicity must be a positive integer")
         if not self.f.right_tail.is_zero:
             raise ValueError("density must be compactly supported")
-        if self.f != self.f.truncate_before(0):
+        # canonical form: a nonzero segment left of 0 would start at a
+        # breakpoint below 0 or be the left tail
+        bps = self.f.breakpoints
+        if not self.f.left_tail.is_zero or (bps and bps[0] < 0):
             raise ValueError("density must vanish on the negative axis")
         if self.f.is_zero:
             raise ValueError("the zero function is not a valid pair density")
@@ -125,24 +128,28 @@ def symmetry_class(p: PairDensity) -> SymmetryClass:
 
     ``SYMMETRIC_AT_HALF_D`` when f(x) = f(d - x) exactly.  For d = 2,
     ``STRICTLY_LEFT_HEAVY`` when f(1-y) > f(1+y) for every y in (0,1), decided
-    by an exact piecewise sign analysis: on each open interval between
-    breakpoints and at each interior breakpoint.
+    by an exact piecewise sign analysis: on each open interval between the
+    cuts |b - 1| in (0, 1) of the breakpoints b, and at each interior cut.
     """
-    if p.f == p.f.reflect(p.dim):
+    f, d = p.f, p.dim
+    # canonical form: f.reflect(d) has exactly the breakpoints d - b, reversed
+    bps = f.breakpoints
+    if all(x == d - y for x, y in zip(bps, reversed(bps))) and f == f.reflect(d):
         return SymmetryClass.SYMMETRIC_AT_HALF_D
-    if p.dim != 2:
+    if d != 2:
         return SymmetryClass.OTHER
-    left = p.f.compose_affine(-1, 1)   # y -> f(1 - y)
-    right = p.f.compose_affine(1, 1)   # y -> f(1 + y)
-    diff = left - right
     lo, hi = Fraction(0), Fraction(1)
-    cuts = [lo] + [b for b in diff.breakpoints if lo < b < hi] + [hi]
-    for a, b in zip(cuts, cuts[1:]):
-        if not is_positive_on_open(diff.segment_at(a), a, b):
+    cuts = [lo] + sorted({abs(b - 1) for b in bps if 0 < b < 2 and b != 1}) + [hi]
+    for u, v in zip(cuts, cuts[1:]):
+        # on (u, v) no breakpoint of f lies strictly between 1 - v and 1 - u,
+        # nor between 1 + u and 1 + v
+        diff = (f.segment_at(1 - v).compose_affine(-1, 1)
+                - f.segment_at(1 + u).compose_affine(1, 1))
+        if not is_positive_on_open(diff, u, v):
             return SymmetryClass.OTHER
-    # interior breakpoints must carry strictly positive values too
-    if any(diff(b) <= 0 for b in cuts[1:-1]):
-        return SymmetryClass.OTHER
+        # f is continuous (dim 2), so diff(v) = f(1 - v) - f(1 + v) at a cut
+        if v < hi and diff(v) <= 0:
+            return SymmetryClass.OTHER
     return SymmetryClass.STRICTLY_LEFT_HEAVY
 
 

@@ -10,6 +10,31 @@ breakpoints dropped), so two constructions of the same function compare equal.
 The half-open convention makes evaluation at breakpoints deterministic.  For
 continuous functions the convention is invisible; discontinuous functions are
 stored as their right-continuous representative.
+
+The kernels do no Fraction work that the exact result does not need, and each
+shortcut rests on an argument, not on a tolerance:
+
+- ``PiecewisePolynomial._combine`` merges the two sorted breakpoint tuples in
+  one pass and steps through both segment lists alongside, in place of a
+  sorted set union and two bisections per breakpoint.
+- ``Polynomial.__call__`` starts Horner at the leading coefficient,
+  ``Polynomial.__sub__`` subtracts coefficient lists directly, and
+  ``Polynomial`` keeps Fraction coefficients as they are.
+- ``is_nonneg_on_closed`` stops after the endpoint checks when the squarefree
+  part is linear.  Then p = c*(x - r)^k has one distinct root, p keeps one
+  sign on each side of r, and each side of r within [a, b] reaches an end
+  where p >= 0 is already known.
+- Canonical form makes two checks of ``hkfun.density`` local.  An affine
+  substitution maps distinct neighbouring segments to distinct ones, so
+  ``f.reflect(c)`` has exactly the breakpoints c - b in reverse order, and a
+  mismatch there already means f != f.reflect(c).  The segment right of a
+  breakpoint never equals the one left of it, so f vanishes on (-inf, 0)
+  exactly when its left tail is zero and its first breakpoint, if any, is
+  >= 0; this is ``f == f.truncate_before(0)`` without building either side.
+- Continuity makes the dimension-2 symmetry test local.  Between consecutive
+  cuts |b - 1| in (0, 1) of the breakpoints b, f(1 - y) - f(1 + y) is the
+  difference of two composed segments, and at a cut its value is the limit
+  of that polynomial, so no whole composition or subtraction is built.
 """
 
 from __future__ import annotations
@@ -49,7 +74,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[QLike] = ()):
-        cs = [as_fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -80,9 +105,12 @@ class Polynomial:
 
     def __call__(self, x: QLike) -> Fraction:
         x = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
+        cs = self.coeffs
+        if not cs:
+            return Fraction(0)
+        acc = cs[-1]
+        for i in range(len(cs) - 2, -1, -1):
+            acc = acc * x + cs[i]
         return acc
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -98,7 +126,10 @@ class Polynomial:
         return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out += a[len(b):] if len(a) > len(b) else [-y for y in b[len(a):]]
+        return Polynomial(out)
 
     def __mul__(self, other: Union["Polynomial", QLike]) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -287,7 +318,9 @@ def is_nonneg_on_closed(p: Polynomial, a: QLike, b: QLike) -> bool:
     sf = squarefree_part(p)
     if sf.degree < 1:
         return p((a + b) / 2) >= 0
-    if a == b:
+    if a == b or sf.degree == 1:
+        # one distinct root r: p = c*(x - r)^k keeps one sign on each side of
+        # r, and each side of r within [a, b] reaches a nonnegative end
         return True
     for u, v, k in _separate_roots(sf, a, b):
         if p(u) < 0 or p(v) < 0:
@@ -398,11 +431,26 @@ class PiecewisePolynomial:
     # -- pointwise algebra ---------------------------------------------------
 
     def _combine(self, other: "PiecewisePolynomial", op) -> "PiecewisePolynomial":
-        merged = sorted(set(self.breakpoints) | set(other.breakpoints))
-        left = op(self.left_tail, other.left_tail)
-        right = op(self.right_tail, other.right_tail)
-        pieces = [op(self.segment_at(b), other.segment_at(b)) for b in merged[:-1]]
-        return PiecewisePolynomial(merged, pieces, left, right)
+        # one merge pass over both breakpoint tuples: after each merged
+        # breakpoint, a_segs[i] and b_segs[j] are the segments right of it
+        a, b = self.breakpoints, other.breakpoints
+        a_segs, b_segs = self._segments(), other._segments()
+        merged: list[Fraction] = []
+        segs = [op(self.left_tail, other.left_tail)]
+        i = j = 0
+        while i < len(a) or j < len(b):
+            if j == len(b) or (i < len(a) and a[i] < b[j]):
+                merged.append(a[i])
+                i += 1
+            elif i == len(a) or b[j] < a[i]:
+                merged.append(b[j])
+                j += 1
+            else:
+                merged.append(a[i])
+                i += 1
+                j += 1
+            segs.append(op(a_segs[i], b_segs[j]))
+        return PiecewisePolynomial(merged, segs[1:-1], segs[0], segs[-1])
 
     def __add__(self, other: "PiecewisePolynomial") -> "PiecewisePolynomial":
         return self._combine(other, lambda a, b: a + b)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hkfun.bundle import HNData, Polarization, SyzygySpec
+from hkfun.piecewise import PiecewisePolynomial
 
 
 def random_parameter_tuple(rng: random.Random, max_dim: int = 5, max_deg: int = 4):
@@ -93,6 +94,22 @@ def brute_graded_length(p, hypersurface, generators, q, m, num_vars):
         if rank == a.shape[0]:
             break
     return len(rows) - rank
+
+
+def combine_by_lookup(f, g, op):
+    """Pointwise op of two piecewise polynomials, the slow way: the sorted set
+    of both breakpoint tuples, and a bisection lookup of both segments at
+    each breakpoint."""
+    merged = sorted(set(f.breakpoints) | set(g.breakpoints))
+    left = op(f.left_tail, g.left_tail)
+    right = op(f.right_tail, g.right_tail)
+    pieces = [op(f.segment_at(b), g.segment_at(b)) for b in merged[:-1]]
+    return PiecewisePolynomial(merged, pieces, left, right)
+
+
+def subtract_by_negation(a, b):
+    """Polynomial a - b as a + (-b), written apart from Polynomial.__sub__."""
+    return a + (-b)
 
 
 @pytest.fixture

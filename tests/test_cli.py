@@ -116,6 +116,23 @@ def test_malformed_curve_is_one_line_error(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("trinomial", "--fermat", "4", "--table", "--prime", "4", "--format", "csv"),
+     "4 is not prime"),
+    (("density", "--degrees", "1,1", "--samples", "0", "--format", "samples"),
+     "--samples must be >= 2, got 0"),
+    (("volume", "--degrees", "1,2", "--samples", "-3", "--format", "samples"),
+     "--samples must be >= 2, got -3"),
+    (("density", "--degrees", "1,1", "--samples", "1", "--format", "samples"),
+     "--samples must be >= 2, got 1"),
+], ids=["table-prime-4", "samples-0", "samples-negative", "samples-1"])
+def test_invalid_option_is_one_line_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"hkfun: error: {message}\n"
+
+
 def test_malformed_json_reports_location(tmp_path, capsys):
     bad = tmp_path / "pair.json"
     bad.write_text('{"dim": 2,,}')

@@ -6,9 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import random_parameter_tuple, random_syzygy_spec
+from conftest import combine_by_lookup, random_parameter_tuple, random_syzygy_spec, \
+    subtract_by_negation
 from hkfun.bundle import syzygy_pair_density
 from hkfun.density import (
     PairDensity,
@@ -22,7 +23,7 @@ from hkfun.density import (
     segre,
     symmetry_class,
 )
-from hkfun.piecewise import PiecewisePolynomial, Polynomial
+from hkfun.piecewise import PiecewisePolynomial, Polynomial, is_positive_on_open
 from hkfun.verify import quadric_cone_pair
 from hkfun.volume import parameter_density
 
@@ -139,15 +140,24 @@ def test_left_heavy_verdict_holds_on_sample_grid(seed):
         assert all(pair.f(1 - y) > pair.f(1 + y) for y in GRID)
 
 
-def test_symmetry_touching_zero_off_grid():
-    # f(1 - y) - f(1 + y) is 3y/2 on (0, 1/6), 1/2 - 3y/2 on (1/6, 1/3) and
-    # positive after: it reaches 0 only at the breakpoint y = 1/3, which no
-    # grid point hits, so the exact analysis alone rejects the density
-    nodes = [(0, 0), (Fraction(2, 3), 2), (1, 3), (Fraction(7, 6), Fraction(9, 4)),
-             (Fraction(4, 3), 2), (Fraction(3, 2), 0)]
+def linear_pair(nodes, mult=1):
+    """The dimension-2 density through the nodes (x, y), linear between them
+    and zero outside."""
     pieces = [Polynomial([y0 - x0 * (y1 - y0) / (x1 - x0), (y1 - y0) / (x1 - x0)])
               for (x0, y0), (x1, y1) in zip(nodes, nodes[1:])]
-    pair = PairDensity(dim=2, mult=3, f=PiecewisePolynomial([x for x, _ in nodes], pieces))
+    return PairDensity(dim=2, mult=mult,
+                       f=PiecewisePolynomial([x for x, _ in nodes], pieces))
+
+
+# f(1 - y) - f(1 + y) is 3y/2 on (0, 1/6), 1/2 - 3y/2 on (1/6, 1/3) and
+# positive after: it reaches 0 only at the breakpoint y = 1/3
+TOUCHING_ZERO_NODES = [(0, 0), (Fraction(2, 3), 2), (1, 3), (Fraction(7, 6), Fraction(9, 4)),
+                       (Fraction(4, 3), 2), (Fraction(3, 2), 0)]
+
+
+def test_symmetry_touching_zero_off_grid():
+    # no grid point hits y = 1/3, so the exact analysis alone rejects the density
+    pair = linear_pair(TOUCHING_ZERO_NODES, mult=3)
     diff = [pair.f(1 - y) - pair.f(1 + y) for y in GRID]
     assert all(d > 0 for d in diff)
     assert pair.f(Fraction(2, 3)) == pair.f(Fraction(4, 3))
@@ -190,3 +200,96 @@ def pair_densities(draw):
 def test_json_round_trip_property(pair):
     data = json.loads(json.dumps(pair.to_dict()))
     assert PairDensity.from_dict(data) == pair
+
+
+def _symmetry_by_reflection(p):
+    """symmetry_class the slow way: compare f with its whole reflection, then
+    subtract the two whole compositions f(1 - y) and f(1 + y) and analyse the
+    sign of the difference between its breakpoints and at them."""
+    f = p.f
+    if f == f.reflect(p.dim):
+        return SymmetryClass.SYMMETRIC_AT_HALF_D
+    if p.dim != 2:
+        return SymmetryClass.OTHER
+    diff = combine_by_lookup(f.compose_affine(-1, 1), f.compose_affine(1, 1),
+                             subtract_by_negation)
+    cuts = [Fraction(0)] + [b for b in diff.breakpoints if 0 < b < 1] + [Fraction(1)]
+    for u, v in zip(cuts, cuts[1:]):
+        if not is_positive_on_open(diff.segment_at(u), u, v):
+            return SymmetryClass.OTHER
+    if any(diff(b) <= 0 for b in cuts[1:-1]):
+        return SymmetryClass.OTHER
+    return SymmetryClass.STRICTLY_LEFT_HEAVY
+
+
+@st.composite
+def linear_densities(draw):
+    """Dimension-2 densities linear between nodes on a 1/6 grid, from (0, 0)
+    to a last node of height 0, so that cuts 1 - b and b - 1 of different
+    breakpoints b often coincide.  Three kinds: free heights; mirrored about
+    1; and peaked at 1, rising before and falling after it, where kinks of
+    either sign meet left-heavy and nearly left-heavy shapes."""
+    kind = draw(st.sampled_from(["free", "mirrored", "peaked"]))
+    heights = st.integers(0, 4)
+    if kind == "free":
+        xs = sorted(draw(st.sets(st.integers(1, 17), min_size=1, max_size=6)))
+        nodes = [(Fraction(x, 6), draw(heights)) for x in xs]
+        nodes.append((nodes[-1][0] + Fraction(1, 6), 0))
+    elif kind == "mirrored":
+        xs = sorted(draw(st.sets(st.integers(1, 5), max_size=4)))
+        left = [(Fraction(x, 6), draw(heights)) for x in xs]
+        nodes = left + [(Fraction(1), draw(heights))] + \
+            [(2 - x, y) for x, y in reversed(left)] + [(Fraction(2), 0)]
+    else:
+        before = sorted(draw(st.sets(st.integers(1, 5), max_size=3)))
+        after = sorted(draw(st.sets(st.integers(7, 12), min_size=1, max_size=3)))
+        rise = sorted(draw(st.lists(st.integers(0, 8), min_size=len(before),
+                                    max_size=len(before))))
+        fall = sorted(draw(st.lists(st.integers(0, 8), min_size=len(after) - 1,
+                                    max_size=len(after) - 1)), reverse=True) + [0]
+        nodes = [(Fraction(x, 6), y) for x, y in zip(before, rise)] + \
+            [(Fraction(1), 9)] + [(Fraction(x, 6), y) for x, y in zip(after, fall)]
+    assume(any(y for _, y in nodes))
+    return linear_pair([(Fraction(0), 0)] + nodes)
+
+
+SYMMETRY_CASES = st.one_of(
+    st.integers(0, 2 ** 32).map(lambda seed: syzygy_pair_density(
+        random_syzygy_spec(random.Random(seed)))),
+    pair_densities(),
+    linear_densities(),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(SYMMETRY_CASES)
+@example(linear_pair(TOUCHING_ZERO_NODES, mult=3))
+@example(tent_pair())
+@example(quadric_cone_pair())
+@example(parameter_density(1, (1, 2)))
+def test_symmetry_class_matches_whole_reflection(pair):
+    assert symmetry_class(pair) is _symmetry_by_reflection(pair)
+
+
+GRID_HALVES = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+SMALL_POLYNOMIALS = st.lists(st.integers(-2, 2), max_size=2).map(Polynomial)
+
+
+@st.composite
+def compact_functions(draw):
+    """Piecewise polynomials with a zero right tail, breakpoints on a grid
+    that holds 0, and a left tail that is often zero."""
+    bps = sorted(draw(st.sets(GRID_HALVES, min_size=1, max_size=5)))
+    segs = [draw(SMALL_POLYNOMIALS) for _ in bps]
+    return PiecewisePolynomial(bps, segs[1:], segs[0], Polynomial.zero())
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(compact_functions())
+def test_negative_axis_check_matches_truncation(f):
+    try:
+        PairDensity(dim=1, mult=1, f=f)
+        rejected = False
+    except ValueError as exc:
+        rejected = "negative axis" in str(exc)
+    assert rejected == (f != f.truncate_before(0))

@@ -6,14 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import combine_by_lookup, subtract_by_negation
 from hkfun.piecewise import (
     PiecewisePolynomial,
     Polynomial,
+    _separate_roots,
     as_fraction,
     count_roots_open,
     fraction_str,
     is_nonneg_on_closed,
     is_positive_on_open,
+    squarefree_part,
     tent_function,
 )
 
@@ -188,14 +191,36 @@ POLYNOMIALS = st.lists(RATIONALS, max_size=4).map(Polynomial)
 
 
 @st.composite
-def piecewise_polynomials(draw):
+def piecewise_polynomials(draw, points=RATIONALS, polynomials=POLYNOMIALS):
     """Arbitrary breakpoints and pieces; equal neighbours, zero pieces and a
     single global polynomial all occur."""
-    breakpoints = sorted(draw(st.sets(RATIONALS, max_size=5)))
-    pieces = [draw(POLYNOMIALS) for _ in breakpoints[1:]]
-    left = draw(POLYNOMIALS)
-    right = draw(POLYNOMIALS) if breakpoints else left
+    breakpoints = sorted(draw(st.sets(points, max_size=5)))
+    pieces = [draw(polynomials) for _ in breakpoints[1:]]
+    left = draw(polynomials)
+    right = draw(polynomials) if breakpoints else left
     return PiecewisePolynomial(breakpoints, pieces, left, right)
+
+
+# breakpoints on a grid of 13 points and pieces from a small pool, so that two
+# functions share breakpoints and pieces cancel or coincide
+GRID_POINTS = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+SMALL_POLYNOMIALS = st.lists(st.integers(-2, 2), max_size=3).map(Polynomial)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(piecewise_polynomials(GRID_POINTS, SMALL_POLYNOMIALS),
+       piecewise_polynomials(GRID_POINTS, SMALL_POLYNOMIALS))
+def test_combine_matches_lookup_merge(f, g):
+    assert f + g == combine_by_lookup(f, g, lambda a, b: a + b)
+    assert f - g == combine_by_lookup(f, g, subtract_by_negation)
+    assert f * g == combine_by_lookup(f, g, lambda a, b: a * b)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(POLYNOMIALS, POLYNOMIALS, RATIONALS)
+def test_polynomial_eval_and_subtract_match_definition(p, q, x):
+    assert p(x) == sum((c * x ** i for i, c in enumerate(p.coeffs)), Fraction(0))
+    assert p - q == subtract_by_negation(p, q)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -243,6 +268,43 @@ def test_nonneg_on_closed_matches_sign_at_roots_and_samples(case):
     assert is_nonneg_on_closed(poly, a, b) == expected
     if expected:
         assert all(poly(x) >= 0 for x in _samples(a, b))
+
+
+def _nonneg_by_separation(p, a, b):
+    """is_nonneg_on_closed without shortcuts: the sign at both ends of every
+    root-separating interval, and at the midpoint of each root-free one."""
+    if a > b or p.is_zero:
+        return True
+    sf = squarefree_part(p)
+    if sf.degree < 1:
+        return p(a) >= 0
+    return all(p(u) >= 0 and p(v) >= 0 and (k == 1 or p((u + v) / 2) >= 0)
+               for u, v, k in _separate_roots(sf, a, b))
+
+
+WIDTHS = st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=8)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([-3, -1, 1, 2]), SMALL_RATIONALS, st.integers(1, 4),
+       SMALL_RATIONALS, st.integers(0, 2),
+       st.sampled_from(["inside", "left end", "right end", "below", "above", "point"]),
+       WIDTHS, WIDTHS)
+def test_nonneg_on_closed_one_distinct_root(c, r, k, s, j, place, w1, w2):
+    # c * (x - r)^k, times (x - s)^j: one distinct root when j = 0 or s = r,
+    # where the squarefree part is linear, two otherwise
+    poly = Polynomial([c])
+    for root, times in ((r, k), (s, j)):
+        for _ in range(times):
+            poly = poly * Polynomial([-root, 1])
+    a, b = {"inside": (r - w1, r + w2), "left end": (r, r + w2),
+            "right end": (r - w1, r), "below": (r - w1 - w2, r - w1),
+            "above": (r + w1, r + w1 + w2), "point": (r, r)}[place]
+    marks = sorted({a, b} | {x for x in (r, s) if a <= x <= b})
+    points = marks + [(u + v) / 2 for u, v in zip(marks, marks[1:])]
+    expected = all(poly(x) >= 0 for x in points)
+    assert is_nonneg_on_closed(poly, a, b) == expected
+    assert _nonneg_by_separation(poly, a, b) == expected
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
