@@ -161,8 +161,6 @@ def syzygy_pair_density(spec: SyzygySpec) -> PairDensity:
     piece, before the density is returned."""
     f = bundle_density(spec.hn_v, spec.pol) - bundle_density(spec.hn_m, spec.pol)
     f = f.truncate_before(0)
-    if not f.is_continuous:
-        raise ValueError("syzygy density must be continuous; is deg V consistent?")
     if not f.is_nonnegative():
         raise ValueError("syzygy difference went negative; slope data is not "
                          "realizable for a pair")

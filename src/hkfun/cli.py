@@ -1,8 +1,14 @@
 """Command-line frontend: one subcommand per computation, JSON/CSV output,
 and plot-ready exact sampling.
 
+Each subcommand takes only the options it reads: ``--format`` and ``--out``
+everywhere, ``--precision`` everywhere but ``verify``, ``--format samples``
+and ``--samples`` on volume, density, segre, bundle and syzygy.
+``trinomial`` and ``oracle`` take one curve flag at most.
+
 Exit status is 0 on success (for ``verify``: only when the check passed),
-1 with a one-line diagnostic on any computation error, 2 on usage errors.
+1 with a one-line diagnostic on a computation error or an option value the
+command would ignore, 2 on usage errors (unknown or conflicting options).
 """
 
 from __future__ import annotations
@@ -65,23 +71,25 @@ def _density_window(f: PiecewisePolynomial) -> tuple[Fraction, Fraction]:
 
 def _sample_rows(f: PiecewisePolynomial, n: int, precision: int) -> list[dict]:
     lo, hi = _density_window(f)
-    rows = []
-    for j in range(n):
-        x = lo + (hi - lo) * j / (n - 1)
-        y = f(x)
-        rows.append({"x": fraction_str(x), "f": fraction_str(y),
-                     "x_dec": decimal_string(x, precision),
-                     "f_dec": decimal_string(y, precision)})
-    return rows
+    xs = [lo + (hi - lo) * j / (n - 1) for j in range(n)]
+    return [{"x": fraction_str(x), "f": fraction_str(y),
+             "x_dec": decimal_string(x, precision), "f_dec": decimal_string(y, precision)}
+            for x, y in zip(xs, map(f, xs))]
 
 
 def _piece_rows(f: PiecewisePolynomial) -> list[dict]:
-    rows = []
-    for lo, hi, seg in f.iter_pieces():
-        rows.append({"start": fraction_str(lo) if lo is not None else "-inf",
-                     "end": fraction_str(hi) if hi is not None else "inf",
-                     "coefficients": " ".join(fraction_str(c) for c in seg.coeffs) or "0"})
-    return rows
+    return [{"start": fraction_str(lo) if lo is not None else "-inf",
+             "end": fraction_str(hi) if hi is not None else "inf",
+             "coefficients": " ".join(fraction_str(c) for c in seg.coeffs) or "0"}
+            for lo, hi, seg in f.iter_pieces()]
+
+
+def _write(text: str, args) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(payload: dict, rows: Optional[list[dict]], args) -> None:
@@ -95,11 +103,7 @@ def _emit(payload: dict, rows: Optional[list[dict]], args) -> None:
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args)
 
 
 def _emit_density(f: PiecewisePolynomial, extra: dict, args) -> None:
@@ -160,9 +164,8 @@ def _cmd_segre(args) -> int:
 
 
 def _parse_hn(args) -> tuple[HNData, Polarization]:
-    hn = HNData(tuple(_fraction_list(args.slopes)), tuple(_int_list(args.ranks)))
-    pol = Polarization(degree=args.poldeg, genus=args.genus)
-    return hn, pol
+    return (HNData(tuple(_fraction_list(args.slopes)), tuple(_int_list(args.ranks))),
+            Polarization(degree=args.poldeg))
 
 
 def _cmd_bundle(args) -> int:
@@ -184,13 +187,13 @@ def _cmd_syzygy(args) -> int:
 
 
 def _curve_from_args(args):
-    if args.fermat:
+    if args.fermat is not None:
         return fermat(args.fermat)
-    if args.cyclic:
+    if args.cyclic is not None:
         return cyclic(args.cyclic)
     for flag, text, shape in (("--typeI", args.typeI, TypeI),
                               ("--typeII", args.typeII, TypeII)):
-        if text:
+        if text is not None:
             exps = _int_list(text)
             if len(exps) != 6:
                 raise ValueError(f"{flag} takes 6 integers, got {len(exps)}")
@@ -200,10 +203,8 @@ def _curve_from_args(args):
 
 def _cmd_trinomial(args) -> int:
     curve = _curve_from_args(args)
-    if curve is None:
-        raise ValueError("specify a curve: --fermat, --cyclic, --typeI or --typeII")
     kind = classify(curve)
-    payload: dict = {"curve": repr(curve), "degree": curve.degree}
+    payload: dict = {"curve": repr(curve), "degree": curve.degree, "n": args.n}
     if isinstance(kind, Irregular):
         payload["class"] = "irregular"
         payload["multiplicity"] = kind.multiplicity
@@ -214,17 +215,14 @@ def _cmd_trinomial(args) -> int:
                                  "lambda": inv.lam, "lambda_h": inv.lambda_h}
     if args.prime is not None and not args.table:
         value = f_threshold(curve, args.n, args.prime)
-        payload["n"] = args.n
-        payload["prime"] = args.prime
-        payload["threshold"] = fraction_str(value)
-        payload["threshold_dec"] = decimal_string(value, args.precision)
+        payload.update(prime=args.prime, threshold=fraction_str(value),
+                       threshold_dec=decimal_string(value, args.precision))
         _emit(payload, [{"threshold": fraction_str(value)}], args)
         return 0
     if args.prime is not None and not is_prime(args.prime):
         raise ValueError(f"{args.prime} is not prime")
     if isinstance(kind, Irregular):
         value = f_threshold(curve, args.n, 2)
-        payload["n"] = args.n
         payload["threshold"] = fraction_str(value)
         _emit(payload, [{"threshold": fraction_str(value)}], args)
         return 0
@@ -235,7 +233,6 @@ def _cmd_trinomial(args) -> int:
         if args.prime is not None:
             entry["threshold_at_p"] = fraction_str(row.threshold_at(args.prime))
         rows.append(entry)
-    payload["n"] = args.n
     payload["table"] = rows
     _emit(payload, rows, args)
     return 0
@@ -244,6 +241,8 @@ def _cmd_trinomial(args) -> int:
 def _oracle_ideal(args):
     curve = _curve_from_args(args)
     if curve is not None:
+        if args.vars is not None:
+            raise ValueError("a curve flag fixes 3 variables; --vars is for --hypersurface")
         hyp = oracle.trinomial_poly(curve)
         nv = 3
     elif args.hypersurface:
@@ -260,6 +259,8 @@ def _oracle_ideal(args):
 
 
 def _cmd_oracle(args) -> int:
+    if args.x is not None and args.op != "fn":
+        raise ValueError(f"--x is read only by --op fn, not --op {args.op}")
     curve, hyp, gens = _oracle_ideal(args)
     p, q = args.prime, args.q
     echo = {"p": p, "q": q,
@@ -296,12 +297,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.list:
-        for name in sorted(verify.CASES):
-            note = verify.FAILS_BY_DESIGN.get(name)
-            print(f"{name}  ({note})" if note else name)
+        notes = verify.FAILS_BY_DESIGN
+        _write("".join(f"{name}  ({notes[name]})\n" if name in notes else f"{name}\n"
+                       for name in sorted(verify.CASES)), args)
         return 0
-    if not args.case:
-        raise ValueError("specify --case NAME or --list")
     result = verify.run_case(args.case)
     _emit(result.to_dict(), [result.to_dict()], args)
     return 0 if result.passed else 1
@@ -311,34 +310,53 @@ def _cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _output_options(formats: tuple[str, ...], precision: bool = True):
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--format", choices=formats, default="json")
+    if "samples" in formats:
+        parent.add_argument("--samples", type=int, default=256, help="number of sample points")
+    if precision:
+        parent.add_argument("--precision", type=int, default=12,
+                            help="decimal digits for rendered values")
+    parent.add_argument("--out", help="write output to this path instead of stdout")
+    return parent
+
+
+def _curve_options(parser: argparse.ArgumentParser, required: bool):
+    group = parser.add_mutually_exclusive_group(required=required)
+    group.add_argument("--fermat", type=int, help="degree d of x^d + y^d + z^d")
+    group.add_argument("--cyclic", type=int, help="degree d of x^(d-1)y + y^(d-1)z + z^(d-1)x")
+    group.add_argument("--typeI", help="a1,a2,b1,b2,c1,c2")
+    group.add_argument("--typeII", help="d,a1,a2,a3,b,c")
+    return group
+
+
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=("json", "csv", "samples"), default="json")
-    shared.add_argument("--samples", type=int, default=256,
-                        help="number of sample points for --format samples")
-    shared.add_argument("--precision", type=int, default=12,
-                        help="decimal digits for rendered values")
-    shared.add_argument("--out", help="write output to this path instead of stdout")
-    # accepted and ignored: existing scripts still pass it
-    shared.add_argument("--threads", type=int, help=argparse.SUPPRESS)
+    density_out = _output_options(("json", "csv", "samples"))
+    value_out = _output_options(("json", "csv"))
+    verdict_out = _output_options(("json", "csv"), precision=False)
+    slope_data = argparse.ArgumentParser(add_help=False)
+    slope_data.add_argument("--slopes", required=True, help="comma-separated rationals")
+    slope_data.add_argument("--ranks", required=True, help="comma-separated integers")
+    slope_data.add_argument("--poldeg", type=int, required=True)
 
     parser = argparse.ArgumentParser(prog="hkfun",
                                      description="exact Hilbert-Kunz density and "
                                                  "F-threshold computations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_vol = sub.add_parser("volume", parents=[shared], help="box slice volume function")
+    p_vol = sub.add_parser("volume", parents=[density_out], help="box slice volume function")
     p_vol.add_argument("--degrees", required=True, help="comma-separated edge lengths")
     p_vol.add_argument("--eval", help="also evaluate at this rational point")
     p_vol.set_defaults(func=_cmd_volume)
 
-    p_den = sub.add_parser("density", parents=[shared], help="parameter-ideal pair density")
+    p_den = sub.add_parser("density", parents=[density_out], help="parameter-ideal pair density")
     p_den.add_argument("--mult", type=int, default=1)
     p_den.add_argument("--degrees", help="comma-separated generator degrees")
     p_den.add_argument("--in", dest="infile", help="read a pair density from JSON")
     p_den.set_defaults(func=_cmd_density)
 
-    p_seg = sub.add_parser("segre", parents=[shared], help="Segre product of two pairs")
+    p_seg = sub.add_parser("segre", parents=[density_out], help="Segre product of two pairs")
     p_seg.add_argument("--mult", type=int, default=1)
     p_seg.add_argument("--degrees")
     p_seg.add_argument("--mult2", type=int, default=1)
@@ -347,29 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--right", help="JSON file with the second pair density")
     p_seg.set_defaults(func=_cmd_segre)
 
-    p_bun = sub.add_parser("bundle", parents=[shared], help="bundle density from slope data")
-    p_bun.add_argument("--slopes", required=True, help="comma-separated rationals")
-    p_bun.add_argument("--ranks", required=True, help="comma-separated integers")
-    p_bun.add_argument("--poldeg", type=int, required=True)
-    p_bun.add_argument("--genus", type=int, default=0)
+    p_bun = sub.add_parser("bundle", parents=[density_out, slope_data],
+                           help="bundle density from slope data")
     p_bun.set_defaults(func=_cmd_bundle)
 
-    p_syz = sub.add_parser("syzygy", parents=[shared],
+    p_syz = sub.add_parser("syzygy", parents=[density_out, slope_data],
                            help="pair density from a syzygy bundle")
     p_syz.add_argument("--mu", type=int, required=True)
     p_syz.add_argument("--d0", type=int, required=True)
-    p_syz.add_argument("--poldeg", type=int, required=True)
-    p_syz.add_argument("--genus", type=int, default=0)
-    p_syz.add_argument("--slopes", required=True)
-    p_syz.add_argument("--ranks", required=True)
     p_syz.set_defaults(func=_cmd_syzygy)
 
-    p_tri = sub.add_parser("trinomial", parents=[shared],
+    p_tri = sub.add_parser("trinomial", parents=[value_out],
                            help="trinomial classification, residue table, thresholds")
-    p_tri.add_argument("--fermat", type=int)
-    p_tri.add_argument("--cyclic", type=int)
-    p_tri.add_argument("--typeI", help="a1,a2,b1,b2,c1,c2")
-    p_tri.add_argument("--typeII", help="d,a1,a2,a3,b,c")
+    _curve_options(p_tri, required=True)
     p_tri.add_argument("--n", type=int, default=1)
     p_tri.add_argument("--prime", type=int)
     p_tri.add_argument("--table", action="store_true",
@@ -377,28 +385,28 @@ def build_parser() -> argparse.ArgumentParser:
                             "column when --prime is given)")
     p_tri.set_defaults(func=_cmd_trinomial)
 
-    p_ora = sub.add_parser("oracle", parents=[shared],
+    p_ora = sub.add_parser("oracle", parents=[value_out],
                            help="characteristic-p colength computations")
     p_ora.add_argument("--prime", type=int, required=True)
     p_ora.add_argument("--q", type=int, required=True)
     p_ora.add_argument("--n", type=int, default=1,
                        help="coordinate-power exponent for the default ideal")
-    p_ora.add_argument("--fermat", type=int)
-    p_ora.add_argument("--cyclic", type=int)
-    p_ora.add_argument("--typeI")
-    p_ora.add_argument("--typeII")
-    p_ora.add_argument("--hypersurface", help="e.g. 'x*y - z^2'")
+    _curve_options(p_ora, required=False).add_argument(
+        "--hypersurface", help="e.g. 'x*y - z^2'")
     p_ora.add_argument("--vars", type=int, help="number of variables (2-4)")
     p_ora.add_argument("--gens", help="comma-separated monomial generators")
     p_ora.add_argument("--op", choices=("profile", "ehk", "fthreshold", "fn"),
                        default="profile")
     p_ora.add_argument("--x", help="sample point for op=fn")
+    # accepted and ignored: the benchmark's job argv still passes it
+    p_ora.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p_ora.set_defaults(func=_cmd_oracle)
 
-    p_ver = sub.add_parser("verify", parents=[shared],
+    p_ver = sub.add_parser("verify", parents=[verdict_out],
                            help="run a named closed-form vs oracle cross-check")
-    p_ver.add_argument("--case")
-    p_ver.add_argument("--list", action="store_true")
+    what = p_ver.add_mutually_exclusive_group(required=True)
+    what.add_argument("--case")
+    what.add_argument("--list", action="store_true")
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser
@@ -408,10 +416,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.precision < 0:
-            raise ValueError(f"--precision must be >= 0, got {args.precision}")
-        if args.samples < 2:
-            raise ValueError(f"--samples must be >= 2, got {args.samples}")
+        # the subcommands without --precision or --samples pass the checks
+        for name, least in (("precision", 0), ("samples", 2)):
+            value = getattr(args, name, least)
+            if value < least:
+                raise ValueError(f"--{name} must be >= {least}, got {value}")
         return args.func(args)
     except (ValueError, KeyError, ArithmeticError, OSError, oracle.OracleError) as exc:
         print(f"hkfun: error: {exc}", file=sys.stderr)

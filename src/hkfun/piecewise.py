@@ -563,12 +563,13 @@ class PiecewisePolynomial:
                 if seg.coeffs[0] < 0:
                     return False
                 continue
-            # unbounded ends: widen to a window past every real root, where
-            # the sign is the limit sign
-            bound = _cauchy_root_bound(seg)
-            left = lo if lo is not None else min(hi if hi is not None else 0, -bound) - 1
-            right = hi if hi is not None else max(lo if lo is not None else 0, bound) + 1
-            if not is_nonneg_on_closed(seg, left, right):
+            if lo is None or hi is None:
+                # unbounded ends: widen to a window past every real root,
+                # where the sign is the limit sign
+                bound = _cauchy_root_bound(seg)
+                lo, hi = (lo if lo is not None else min(hi if hi is not None else 0, -bound) - 1,
+                          hi if hi is not None else max(lo if lo is not None else 0, bound) + 1)
+            if not is_nonneg_on_closed(seg, lo, hi):
                 return False
         return True
 

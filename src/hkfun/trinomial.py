@@ -21,7 +21,7 @@ which makes ``lambda * (1 - T) = lambda_h * (1 - T_raw)`` an integer, the
 quantity the threshold formula consumes.  With this normalization the
 closed-form thresholds agree with brute-force characteristic-p computations
 on every curve in the test suite; the scan without the renormalization does
-not.  ``lambda * (1 - T)`` is asserted integral at use sites as a guard
+not.  ``lambda * (1 - T)`` is checked integral where each row is built, a guard
 against drift.
 """
 
@@ -310,24 +310,14 @@ def f_threshold(curve: TrinomialCurve, n: int, p: int) -> Fraction:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     d = curve.degree
-    base = Fraction(n + 2, 2)
     kind = classify(curve)
     if isinstance(kind, Irregular):
-        r = kind.multiplicity
-        return base + Fraction((2 * r - d) * n, 2 * d)
+        return Fraction(n + 2, 2) + Fraction((2 * kind.multiplicity - d) * n, 2 * d)
     inv = kind.invariants
     l = residue_representative(p, inv.lambda_h)
     if gcd(l, 2 * inv.lambda_h) != 1:
         raise ValueError(f"prime {p} divides 2*lambda_h = {2 * inv.lambda_h}")
-    result = taxicab_search(inv, n, l)
-    if result.D is None:
-        return base
-    weight = inv.lam * (1 - result.T)
-    if weight.denominator != 1:
-        raise ArithmeticError(
-            f"lambda*(1-T) = {weight} is not an integer; the residue search "
-            "normalization drifted")
-    return base + Fraction(weight.numerator, 2 * p ** result.D * d)
+    return _residue_row(inv, n, d, l).threshold_at(p)
 
 
 @dataclass(frozen=True)
@@ -361,16 +351,18 @@ def residue_table(curve: TrinomialCurve, n: int) -> list[ResidueRow]:
     if isinstance(kind, Irregular):
         raise ValueError("irregular curves have a single p-independent threshold")
     inv = kind.invariants
-    d = curve.degree
-    base = Fraction(n + 2, 2)
-    rows = []
-    for l in range(1, inv.lambda_h + 1):
-        if gcd(l, 2 * inv.lambda_h) != 1:
-            continue
-        res = taxicab_search(inv, n, l)
-        weight = inv.lam * (1 - res.T)
-        if weight.denominator != 1:
-            raise ArithmeticError(f"lambda*(1-T) = {weight} is not an integer")
-        rows.append(ResidueRow(representative=l, T=res.T, D=res.D, base=base,
-                               weight=weight.numerator, poldeg=d))
-    return rows
+    return [_residue_row(inv, n, curve.degree, l) for l in range(1, inv.lambda_h + 1)
+            if gcd(l, 2 * inv.lambda_h) == 1]
+
+
+def _residue_row(inv: TrinomialInvariants, n: int, d: int, l: int) -> ResidueRow:
+    """The regular threshold at the class l: the scan's (T, D) with the
+    formula's base (n+2)/2 and integral weight lambda*(1-T)."""
+    res = taxicab_search(inv, n, l)
+    weight = inv.lam * (1 - res.T)
+    if weight.denominator != 1:
+        raise ArithmeticError(
+            f"lambda*(1-T) = {weight} is not an integer; the residue search "
+            "normalization drifted")
+    return ResidueRow(representative=l, T=res.T, D=res.D, base=Fraction(n + 2, 2),
+                      weight=weight.numerator, poldeg=d)

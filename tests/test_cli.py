@@ -125,12 +125,64 @@ def test_malformed_curve_is_one_line_error(capsys, argv):
      "--samples must be >= 2, got -3"),
     (("density", "--degrees", "1,1", "--samples", "1", "--format", "samples"),
      "--samples must be >= 2, got 1"),
-], ids=["table-prime-4", "samples-0", "samples-negative", "samples-1"])
+    (("trinomial", "--fermat", "4", "--prime", "29", "--precision", "-1"),
+     "--precision must be >= 0, got -1"),
+    (("oracle", "--prime", "3", "--q", "9", "--hypersurface", "x*y - z^2", "--vars", "3",
+      "--op", "profile", "--x", "1/2"),
+     "--x is read only by --op fn, not --op profile"),
+    (("oracle", "--prime", "5", "--q", "5", "--fermat", "4", "--vars", "2", "--op", "ehk"),
+     "a curve flag fixes 3 variables; --vars is for --hypersurface"),
+], ids=["table-prime-4", "samples-0", "samples-negative", "samples-1",
+        "precision-trinomial", "x-without-fn", "vars-with-curve"])
 def test_invalid_option_is_one_line_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err == f"hkfun: error: {message}\n"
+
+
+ORACLE_EHK = ("oracle", "--prime", "5", "--q", "5", "--op", "ehk")
+MISUSE = {
+    "two-curves": ("trinomial", "--fermat", "5", "--cyclic", "4"),
+    "two-curves-oracle": ORACLE_EHK + ("--typeI", "3,1,3,1,3,1", "--fermat", "4"),
+    "curve-and-hypersurface": ORACLE_EHK + ("--fermat", "4", "--hypersurface", "x*y-z^2"),
+    "no-curve": ("trinomial", "--n", "2"),
+    "genus-bundle": ("bundle", "--slopes", "0,-3", "--ranks", "1,1", "--poldeg", "3",
+                     "--genus", "2"),
+    "genus-syzygy": ("syzygy", "--mu", "3", "--d0", "1", "--poldeg", "2", "--slopes", "-1",
+                     "--ranks", "2", "--genus", "1"),
+    "format-samples-trinomial": ("trinomial", "--fermat", "4", "--format", "samples"),
+    "format-samples-oracle": ORACLE_EHK + ("--fermat", "4", "--format", "samples"),
+    "format-samples-verify": ("verify", "--case", "tent-exact", "--format", "samples"),
+    "samples-trinomial": ("trinomial", "--fermat", "4", "--prime", "29", "--samples", "3"),
+    "samples-oracle": ORACLE_EHK + ("--fermat", "4", "--samples", "1"),
+    "samples-verify": ("verify", "--case", "tent-exact", "--samples", "3"),
+    "precision-verify": ("verify", "--case", "tent-exact", "--precision", "3"),
+    "threads-density": ("density", "--degrees", "1,1", "--threads", "1"),
+    "threads-trinomial": ("trinomial", "--fermat", "4", "--threads", "1"),
+    "threads-verify": ("verify", "--list", "--threads", "1"),
+    "case-and-list": ("verify", "--list", "--case", "tent-exact"),
+    "no-case": ("verify", "--format", "csv"),
+}
+
+
+@pytest.mark.parametrize("argv", MISUSE.values(), ids=MISUSE.keys())
+def test_inapplicable_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_verify_list_out(tmp_path, capsys):
+    code, listing, _ = run_cli(capsys, "verify", "--list")
+    assert code == 0
+    target = tmp_path / "cases.txt"
+    code, out, _ = run_cli(capsys, "verify", "--list", "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == listing
 
 
 def test_malformed_json_reports_location(tmp_path, capsys):
