@@ -4,11 +4,9 @@ for graded pairs, cross-validated against a characteristic-p oracle."""
 from .piecewise import PiecewisePolynomial, Polynomial, as_fraction, fraction_str, \
     tent_function
 from .density import PairDensity, RegularityVerdict, SymmetryClass, \
-    alpha_bounds_check, ceiling, frobenius_bracket_scale, regularity_verdict, \
-    segre, symmetry_class
+    frobenius_bracket_scale, regularity_verdict, segre, symmetry_class
 from .volume import BoxSliceSpec, lattice_slice_count, parameter_density, slice_volume
-from .bundle import HNData, H1Window, Polarization, SemistabilityGap, SyzygySpec, \
-    bundle_alpha, bundle_density, semistability_gap, serre_h1_profile, \
+from .bundle import HNData, Polarization, SyzygySpec, bundle_alpha, bundle_density, \
     syzygy_pair_density
 from .trinomial import Irregular, Regular, TaxicabResult, TrinomialCurve, \
     TrinomialInvariants, TypeI, TypeII, classify, cyclic, f_threshold, fermat, \
@@ -20,12 +18,10 @@ __version__ = "0.1.0"
 __all__ = [
     "PiecewisePolynomial", "Polynomial", "as_fraction", "fraction_str",
     "tent_function",
-    "PairDensity", "RegularityVerdict", "SymmetryClass", "alpha_bounds_check",
-    "ceiling", "frobenius_bracket_scale", "regularity_verdict", "segre",
-    "symmetry_class",
+    "PairDensity", "RegularityVerdict", "SymmetryClass",
+    "frobenius_bracket_scale", "regularity_verdict", "segre", "symmetry_class",
     "BoxSliceSpec", "lattice_slice_count", "parameter_density", "slice_volume",
-    "HNData", "H1Window", "Polarization", "SemistabilityGap", "SyzygySpec",
-    "bundle_alpha", "bundle_density", "semistability_gap", "serre_h1_profile",
+    "HNData", "Polarization", "SyzygySpec", "bundle_alpha", "bundle_density",
     "syzygy_pair_density",
     "Irregular", "Regular", "TaxicabResult", "TrinomialCurve",
     "TrinomialInvariants", "TypeI", "TypeII", "classify", "cyclic",

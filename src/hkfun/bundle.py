@@ -16,16 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .density import PairDensity
-from .piecewise import (
-    PiecewisePolynomial,
-    Polynomial,
-    QLike,
-    as_fraction,
-    fraction_str,
-)
+from .piecewise import PiecewisePolynomial, Polynomial, as_fraction
 
 
 @dataclass(frozen=True)
@@ -62,29 +55,16 @@ class HNData:
     def mean_slope(self) -> Fraction:
         return self.total_degree / self.total_rank
 
-    def to_dict(self) -> dict:
-        return {"slopes": [fraction_str(a) for a in self.slopes],
-                "ranks": list(self.ranks)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HNData":
-        return cls(tuple(as_fraction(a) for a in data["slopes"]),
-                   tuple(int(r) for r in data["ranks"]))
-
 
 @dataclass(frozen=True)
 class Polarization:
-    """Degree of the polarizing line bundle, and the curve genus (the genus
-    only enters the cohomology-profile helper)."""
+    """Degree of the polarizing line bundle."""
 
     degree: int
-    genus: int = 0
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("polarization degree must be >= 1")
-        if self.genus < 0:
-            raise ValueError("genus must be >= 0")
 
 
 def bundle_density(hn: HNData, pol: Polarization) -> PiecewisePolynomial:
@@ -165,60 +145,3 @@ def syzygy_pair_density(spec: SyzygySpec) -> PairDensity:
         raise ValueError("syzygy difference went negative; slope data is not "
                          "realizable for a pair")
     return PairDensity(dim=2, mult=spec.pol.degree, f=f, provenance="syzygy-bundle")
-
-
-@dataclass(frozen=True)
-class SemistabilityGap:
-    """Comparison of the limit support against one positive characteristic."""
-
-    alpha_char0: Fraction
-    alpha_charp: Fraction
-    equal: bool
-
-
-def semistability_gap(hn_char0: HNData, hn_charp: HNData, pol: Polarization) -> SemistabilityGap:
-    """Compare 1 - mu_min/d (from ordinary slope data) with 1 - a_min/d (from
-    Frobenius-stable slope data of the same bundle).
-
-    Both data must share the total rank and total degree.  Reduction can only
-    lower the minimum slope, so alpha_charp >= alpha_char0 is enforced; when
-    the original bundle is semistable, equality holds exactly when the
-    reduction is a single slope as well.
-    """
-    if hn_char0.total_rank != hn_charp.total_rank:
-        raise ValueError("total ranks differ; not the same bundle")
-    if hn_char0.total_degree != hn_charp.total_degree:
-        raise ValueError("total degrees differ; not the same bundle")
-    a_inf = bundle_alpha(hn_char0, pol)
-    a_p = bundle_alpha(hn_charp, pol)
-    if a_p < a_inf:
-        raise ValueError("minimum slope rose under reduction; inputs are not a "
-                         "reduction pair")
-    equal = a_p == a_inf
-    if len(hn_char0.slopes) == 1:
-        assert equal == (len(hn_charp.slopes) == 1)
-    return SemistabilityGap(alpha_char0=a_inf, alpha_charp=a_p, equal=equal)
-
-
-@dataclass(frozen=True)
-class H1Window:
-    """Marker for the middle window where only |h^1| <= bound is known."""
-
-    bound: int
-
-
-def serre_h1_profile(mu: QLike, rank: int, pol: Polarization, m: int) -> Union[int, H1Window]:
-    """First cohomology of a twisted semistable bundle of slope ``mu`` and the
-    given rank: exact below the duality window, zero above it, and only
-    bounded by rank*(genus - 1) inside.
-    """
-    mu = as_fraction(mu)
-    d, g = pol.degree, pol.genus
-    threshold = -mu / d
-    if m < threshold:
-        value = -rank * (mu + d * m + (g - 1))
-        assert value.denominator == 1
-        return int(value)
-    if m > threshold + (d - 3):
-        return 0
-    return H1Window(bound=rank * (g - 1))

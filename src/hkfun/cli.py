@@ -4,7 +4,8 @@ and plot-ready exact sampling.
 Each subcommand takes only the options it reads: ``--format`` and ``--out``
 everywhere, ``--precision`` everywhere but ``verify``, ``--format samples``
 and ``--samples`` on volume, density, segre, bundle and syzygy.
-``trinomial`` and ``oracle`` take one curve flag at most.
+``trinomial`` and ``oracle`` take one curve flag at most; each pair density
+of ``density`` and ``segre`` comes from degrees or from a JSON file.
 
 Exit status is 0 on success (for ``verify``: only when the check passed),
 1 with a one-line diagnostic on a computation error or an option value the
@@ -69,6 +70,10 @@ def _density_window(f: PiecewisePolynomial) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _precision(args) -> int:
+    return 12 if args.precision is None else args.precision
+
+
 def _sample_rows(f: PiecewisePolynomial, n: int, precision: int) -> list[dict]:
     lo, hi = _density_window(f)
     xs = [lo + (hi - lo) * j / (n - 1) for j in range(n)]
@@ -108,7 +113,7 @@ def _emit(payload: dict, rows: Optional[list[dict]], args) -> None:
 
 def _emit_density(f: PiecewisePolynomial, extra: dict, args) -> None:
     if args.format == "samples":
-        rows = _sample_rows(f, args.samples, args.precision)
+        rows = _sample_rows(f, args.samples, _precision(args))
         _emit({**extra, "samples": rows}, rows, args)
     elif args.format == "csv":
         _emit(extra, _piece_rows(f), args)
@@ -138,26 +143,27 @@ def _cmd_volume(args) -> int:
     return 0
 
 
+def _input_pair(path: Optional[str], mult: Optional[int], degrees: Optional[str],
+                flags: tuple[str, str, str]) -> PairDensity:
+    """The pair density in a JSON file, or the parameter density of the
+    degrees; the parser admits exactly one of the two sources."""
+    if path is None:
+        return parameter_density(1 if mult is None else mult, tuple(_int_list(degrees)))
+    if mult is not None:
+        raise ValueError(f"{flags[1]} is read only with {flags[2]}, not with {flags[0]}")
+    return PairDensity.from_dict(_load_json(path))
+
+
 def _cmd_density(args) -> int:
-    if args.infile:
-        pair = PairDensity.from_dict(_load_json(args.infile))
-    else:
-        if not args.degrees:
-            raise ValueError("specify --degrees (or --in FILE)")
-        pair = parameter_density(args.mult, tuple(_int_list(args.degrees)))
+    pair = _input_pair(args.infile, args.mult, args.degrees, ("--in", "--mult", "--degrees"))
     _emit_density(pair.f, _pair_payload(pair), args)
     return 0
 
 
 def _cmd_segre(args) -> int:
-    if args.left and args.right:
-        a = PairDensity.from_dict(_load_json(args.left))
-        b = PairDensity.from_dict(_load_json(args.right))
-    else:
-        if not (args.degrees and args.degrees2):
-            raise ValueError("specify --degrees and --degrees2 (or --left/--right files)")
-        a = parameter_density(args.mult, tuple(_int_list(args.degrees)))
-        b = parameter_density(args.mult2, tuple(_int_list(args.degrees2)))
+    a = _input_pair(args.left, args.mult, args.degrees, ("--left", "--mult", "--degrees"))
+    b = _input_pair(args.right, args.mult2, args.degrees2,
+                    ("--right", "--mult2", "--degrees2"))
     pair = segre(a, b)
     _emit_density(pair.f, _pair_payload(pair), args)
     return 0
@@ -202,6 +208,8 @@ def _curve_from_args(args):
 
 
 def _cmd_trinomial(args) -> int:
+    if args.precision is not None and (args.prime is None or args.table):
+        raise ValueError("--precision is read only with --prime and without --table")
     curve = _curve_from_args(args)
     kind = classify(curve)
     payload: dict = {"curve": repr(curve), "degree": curve.degree, "n": args.n}
@@ -216,7 +224,7 @@ def _cmd_trinomial(args) -> int:
     if args.prime is not None and not args.table:
         value = f_threshold(curve, args.n, args.prime)
         payload.update(prime=args.prime, threshold=fraction_str(value),
-                       threshold_dec=decimal_string(value, args.precision))
+                       threshold_dec=decimal_string(value, _precision(args)))
         _emit(payload, [{"threshold": fraction_str(value)}], args)
         return 0
     if args.prime is not None and not is_prime(args.prime):
@@ -238,7 +246,7 @@ def _cmd_trinomial(args) -> int:
     return 0
 
 
-def _oracle_ideal(args):
+def _oracle_ideal(args, n: int):
     curve = _curve_from_args(args)
     if curve is not None:
         if args.vars is not None:
@@ -246,26 +254,29 @@ def _oracle_ideal(args):
         hyp = oracle.trinomial_poly(curve)
         nv = 3
     elif args.hypersurface:
-        nv = args.vars or 3
+        nv = 3 if args.vars is None else args.vars
         hyp = oracle.parse_polynomial(args.hypersurface, nv)
     else:
         hyp = None
-        nv = args.vars or 2
+        nv = 2 if args.vars is None else args.vars
     if args.gens:
         gens = [oracle.parse_polynomial(g, nv) for g in args.gens.split(",")]
     else:
-        gens = oracle.variable_powers(nv, args.n)
+        gens = oracle.variable_powers(nv, n)
     return curve, hyp, gens
 
 
 def _cmd_oracle(args) -> int:
     if args.x is not None and args.op != "fn":
         raise ValueError(f"--x is read only by --op fn, not --op {args.op}")
-    curve, hyp, gens = _oracle_ideal(args)
+    if args.gens and args.n is not None:
+        raise ValueError("--n is read only without --gens")
+    n = 1 if args.n is None else args.n
+    curve, hyp, gens = _oracle_ideal(args, n)
     p, q = args.prime, args.q
     echo = {"p": p, "q": q,
             "hypersurface": args.hypersurface or (repr(curve) if curve else None),
-            "generators": args.gens or f"coordinate powers n={args.n}"}
+            "generators": args.gens or f"coordinate powers n={n}"}
     if args.op == "profile":
         profile = oracle.colength_profile(p, hyp, gens, q)
         rows = [{"m": m, "length": profile.lengths[m]} for m in sorted(profile.lengths)]
@@ -275,16 +286,16 @@ def _cmd_oracle(args) -> int:
     elif args.op == "ehk":
         value = oracle.ehk_estimate(p, hyp, gens, q)
         _emit({**echo, "ehk_estimate": fraction_str(value),
-               "ehk_dec": decimal_string(value, args.precision)},
+               "ehk_dec": decimal_string(value, _precision(args))},
               [{"ehk_estimate": fraction_str(value)}], args)
     elif args.op == "fthreshold":
         if hyp is None:
             raise ValueError("fthreshold needs a hypersurface")
         if args.gens:
             raise ValueError("fthreshold takes the coordinate powers of --n, not --gens")
-        value = oracle.fthreshold_estimate(p, hyp, args.n, q)
+        value = oracle.fthreshold_estimate(p, hyp, n, q)
         _emit({**echo, "fthreshold_estimate": fraction_str(value),
-               "fthreshold_dec": decimal_string(value, args.precision)},
+               "fthreshold_dec": decimal_string(value, _precision(args))},
               [{"fthreshold_estimate": fraction_str(value)}], args)
     else:  # fn
         if args.x is None:
@@ -316,8 +327,8 @@ def _output_options(formats: tuple[str, ...], precision: bool = True):
     if "samples" in formats:
         parent.add_argument("--samples", type=int, default=256, help="number of sample points")
     if precision:
-        parent.add_argument("--precision", type=int, default=12,
-                            help="decimal digits for rendered values")
+        parent.add_argument("--precision", type=int,
+                            help="decimal digits for rendered values (default 12)")
     parent.add_argument("--out", help="write output to this path instead of stdout")
     return parent
 
@@ -351,18 +362,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_vol.set_defaults(func=_cmd_volume)
 
     p_den = sub.add_parser("density", parents=[density_out], help="parameter-ideal pair density")
-    p_den.add_argument("--mult", type=int, default=1)
-    p_den.add_argument("--degrees", help="comma-separated generator degrees")
-    p_den.add_argument("--in", dest="infile", help="read a pair density from JSON")
+    p_den.add_argument("--mult", type=int, help="multiplicity for --degrees (default 1)")
+    source = p_den.add_mutually_exclusive_group(required=True)
+    source.add_argument("--degrees", help="comma-separated generator degrees")
+    source.add_argument("--in", dest="infile", help="read a pair density from JSON")
     p_den.set_defaults(func=_cmd_density)
 
     p_seg = sub.add_parser("segre", parents=[density_out], help="Segre product of two pairs")
-    p_seg.add_argument("--mult", type=int, default=1)
-    p_seg.add_argument("--degrees")
-    p_seg.add_argument("--mult2", type=int, default=1)
-    p_seg.add_argument("--degrees2")
-    p_seg.add_argument("--left", help="JSON file with the first pair density")
-    p_seg.add_argument("--right", help="JSON file with the second pair density")
+    p_seg.add_argument("--mult", type=int, help="multiplicity for --degrees (default 1)")
+    p_seg.add_argument("--mult2", type=int, help="multiplicity for --degrees2 (default 1)")
+    first = p_seg.add_mutually_exclusive_group(required=True)
+    first.add_argument("--degrees")
+    first.add_argument("--left", help="JSON file with the first pair density")
+    second = p_seg.add_mutually_exclusive_group(required=True)
+    second.add_argument("--degrees2")
+    second.add_argument("--right", help="JSON file with the second pair density")
     p_seg.set_defaults(func=_cmd_segre)
 
     p_bun = sub.add_parser("bundle", parents=[density_out, slope_data],
@@ -389,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="characteristic-p colength computations")
     p_ora.add_argument("--prime", type=int, required=True)
     p_ora.add_argument("--q", type=int, required=True)
-    p_ora.add_argument("--n", type=int, default=1,
-                       help="coordinate-power exponent for the default ideal")
+    p_ora.add_argument("--n", type=int,
+                       help="coordinate-power exponent for the default ideal (default 1)")
     _curve_options(p_ora, required=False).add_argument(
         "--hypersurface", help="e.g. 'x*y - z^2'")
     p_ora.add_argument("--vars", type=int, help="number of variables (2-4)")
@@ -416,10 +430,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # the subcommands without --precision or --samples pass the checks
-        for name, least in (("precision", 0), ("samples", 2)):
-            value = getattr(args, name, least)
-            if value < least:
+        # an option the subcommand lacks, or that is left unset, passes
+        for name, least in (("precision", 0), ("samples", 2), ("vars", 1)):
+            value = getattr(args, name, None)
+            if value is not None and value < least:
                 raise ValueError(f"--{name} must be >= {least}, got {value}")
         return args.func(args)
     except (ValueError, KeyError, ArithmeticError, OSError, oracle.OracleError) as exc:

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .piecewise import (
-    PiecewisePolynomial,
-    Polynomial,
-    QLike,
-    as_fraction,
-    is_positive_on_open,
-)
+from .piecewise import PiecewisePolynomial, Polynomial, is_positive_on_open
 
 
 @dataclass(frozen=True)
@@ -75,16 +69,6 @@ class PairDensity:
 def ceiling_polynomial(mult: int, dim: int) -> Polynomial:
     """F(x) = mult * x^(dim-1) / (dim-1)! as a plain polynomial."""
     return Polynomial.monomial(dim - 1, Fraction(mult, factorial(dim - 1)))
-
-
-def ceiling(p: PairDensity) -> PiecewisePolynomial:
-    """The ceiling F on [0, alpha + 1], zero outside.
-
-    Only the window where the density can be nonzero matters, so the cutoff
-    past the support is harmless and keeps the function compactly supported.
-    """
-    hi = p.alpha + 1
-    return PiecewisePolynomial.on_interval(0, hi, ceiling_polynomial(p.mult, p.dim))
 
 
 def segre(p: PairDensity, s: PairDensity) -> PairDensity:
@@ -166,18 +150,3 @@ def regularity_verdict(p: PairDensity) -> RegularityVerdict:
     """
     return (RegularityVerdict.REGULAR_CERTIFIED if p.alpha == p.dim
             else RegularityVerdict.NOT_REGULAR)
-
-
-def alpha_bounds_check(degrees: list[int] | tuple[int, ...], value: QLike) -> bool:
-    """Check d_1 <= value <= sum(d_i), with strict lower bound when the ideal
-    has at least two generators (the support always exceeds the smallest
-    generator degree in dimension >= 2)."""
-    if not degrees:
-        raise ValueError("need at least one generator degree")
-    ds = sorted(degrees)
-    a = as_fraction(value)
-    if a > sum(ds):
-        return False
-    if len(ds) >= 2:
-        return a > ds[0]
-    return a >= ds[0]

@@ -609,12 +609,29 @@ def monomial_alpha(num_vars: int, generators: Sequence[Poly]) -> int:
     return best + num_vars
 
 
+def _literal_power(poly: Poly, k: int, p: int) -> dict[tuple[int, ...], int]:
+    """poly^k mod p by k - 1 polynomial multiplications, without freshman's
+    dream."""
+    poly = normalize_poly(poly, p)
+    power = poly
+    for _ in range(k - 1):
+        product_terms: dict[tuple[int, ...], int] = {}
+        for e, c in power.items():
+            for f, cf in poly.items():
+                g = tuple(a + b for a, b in zip(e, f))
+                product_terms[g] = (product_terms.get(g, 0) + c * cf) % p
+        power = {e: c for e, c in product_terms.items() if c}
+    return power
+
+
 def scaling_check(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
                   q0: int, q: int, num_points: int = 10) -> bool:
-    """Exact Frobenius-bracket consistency: the colengths of (I^[q0])^[q] and
-    I^[q0*q] agree degree by degree on a sample grid."""
-    bracketed = [frobenius_power(g, q0, p) for g in generators]
+    """Exact check of the Frobenius brackets: on a sample grid of degrees,
+    the colengths of the ideal of the literal powers (g^q0)^q, multiplied out
+    mod p, agree with those of I^[q0*q], which ``frobenius_power`` brackets
+    by freshman's dream."""
+    powers = [_literal_power(_literal_power(g, q0, p), q, p) for g in generators]
     top = _sweep_bound(hypersurface, generators, q0 * q)
-    _, lhs = quotient_lengths(p, hypersurface, bracketed, q)
+    _, lhs = quotient_lengths(p, hypersurface, powers, 1)
     _, rhs = quotient_lengths(p, hypersurface, generators, q0 * q)
     return all(lhs(m) == rhs(m) for m in ((top * i) // num_points for i in range(num_points)))

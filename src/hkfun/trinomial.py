@@ -158,11 +158,6 @@ class TrinomialInvariants:
     def lambda_h(self) -> int:
         return self.lam // self.common_factor
 
-    @property
-    def t_h(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (Fraction(self.alpha, self.lam), Fraction(self.beta, self.lam),
-                Fraction(self.nu, self.lam))
-
 
 @dataclass(frozen=True)
 class Regular:
@@ -231,7 +226,8 @@ def multiplicative_order(l: int, modulus: int) -> int:
 
 def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
     """Scan s = 0, 1, ..., ord(l) - 1 for the first step where some odd-sum
-    corner comes within taxicab distance 1 of v = l^s * t_h * n mod 2.
+    corner comes within taxicab distance 1 of
+    v = l^s * n * (alpha, beta, nu)/lambda mod 2.
 
     The scan runs in integers over lambda = ``inv.lam``: v_i = N_i / lambda
     with N_i = (l^s * alpha_i * n) mod 2*lambda for alpha_i in (alpha, beta,

@@ -1,9 +1,10 @@
 """Named cross-checks pairing each closed form with the brute-force oracle.
 
-The registry is what both the CLI ``verify`` subcommand and the acceptance
-test suite run, so users and CI exercise identical checks.  Every case
-returns the measured value, the target, the tolerance and the gap, all exact
-where the computation permits.
+The CLI ``verify`` subcommand runs the registry.  Of the acceptance suite,
+criterion 2 runs its ``volume-convergence`` case; the other criteria make
+their own checks and share this module's fixtures.  Every case returns the
+measured value, the target, the tolerance and the gap, all exact where the
+computation permits.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ def _case_scaling() -> VerifyResult:
     return VerifyResult(name="scaling-quadric-cone", passed=ok,
                         measured="equal" if ok else "unequal", target="equal",
                         tolerance="0", gap="0" if ok else "1",
-                        detail="colengths of (I^[3])^[3] and I^[9] agree degree by degree")
+                        detail="colengths of the literal powers (g^3)^3 mod 3 and of "
+                               "I^[9] agree degree by degree")
 
 
 def _case_volume_convergence() -> VerifyResult:

@@ -8,13 +8,10 @@ import pytest
 from conftest import random_syzygy_spec
 from hkfun.bundle import (
     HNData,
-    H1Window,
     Polarization,
     SyzygySpec,
     bundle_alpha,
     bundle_density,
-    semistability_gap,
-    serre_h1_profile,
     syzygy_pair_density,
 )
 from hkfun.density import SymmetryClass, symmetry_class
@@ -32,12 +29,6 @@ def test_hn_data_validation():
     assert hn.total_rank == 5
     assert hn.total_degree == Fraction(1, 2)
     assert hn.min_slope == Fraction(-1, 2)
-
-
-def test_hn_json_round_trip():
-    hn = HNData((Fraction(-1), Fraction(-5, 2)), (2, 1))
-    assert HNData.from_dict(hn.to_dict()) == hn
-    assert hn.to_dict() == {"slopes": ["-1", "-5/2"], "ranks": [2, 1]}
 
 
 def test_trivial_bundle_density():
@@ -126,28 +117,3 @@ def test_dichotomy_on_random_syzygy_data(rng):
         cls = symmetry_class(pair)
         assert cls in (SymmetryClass.SYMMETRIC_AT_HALF_D,
                        SymmetryClass.STRICTLY_LEFT_HEAVY)
-
-
-def test_semistability_gap():
-    pol = Polarization(2)
-    same = semistability_gap(HNData((Fraction(-1),), (2,)),
-                             HNData((Fraction(-1),), (2,)), pol)
-    assert same.equal and same.alpha_char0 == Fraction(3, 2)
-    split = semistability_gap(HNData((Fraction(-1),), (2,)),
-                              HNData((Fraction(0), Fraction(-2)), (1, 1)), pol)
-    assert not split.equal
-    assert split.alpha_char0 == Fraction(3, 2)
-    assert split.alpha_charp == 2
-    with pytest.raises(ValueError):
-        semistability_gap(HNData((Fraction(-1),), (2,)),
-                          HNData((Fraction(-2),), (2,)), pol)  # degree mismatch
-    with pytest.raises(ValueError):
-        semistability_gap(HNData((Fraction(0), Fraction(-2)), (1, 1)),
-                          HNData((Fraction(-1),), (2,)), pol)  # slope rose
-
-
-def test_serre_h1_profile():
-    assert serre_h1_profile(0, 1, Polarization(3, genus=0), -2) == 7
-    assert serre_h1_profile(0, 1, Polarization(3, genus=0), 100) == 0
-    window = serre_h1_profile(Fraction(1, 2), 2, Polarization(4, genus=3), 0)
-    assert window == H1Window(bound=4)

@@ -132,8 +132,21 @@ def test_malformed_curve_is_one_line_error(capsys, argv):
      "--x is read only by --op fn, not --op profile"),
     (("oracle", "--prime", "5", "--q", "5", "--fermat", "4", "--vars", "2", "--op", "ehk"),
      "a curve flag fixes 3 variables; --vars is for --hypersurface"),
+    (("oracle", "--prime", "3", "--q", "3", "--vars", "0", "--format", "csv"),
+     "--vars must be >= 1, got 0"),
+    (("oracle", "--prime", "3", "--q", "3", "--vars", "-1"),
+     "--vars must be >= 1, got -1"),
+    (("density", "--in", "pair.json", "--mult", "5"),
+     "--mult is read only with --degrees, not with --in"),
+    (("segre", "--left", "a.json", "--right", "b.json", "--mult", "2"),
+     "--mult is read only with --degrees, not with --left"),
+    (("oracle", "--prime", "3", "--q", "3", "--gens", "x,y,z", "--vars", "3", "--n", "5"),
+     "--n is read only without --gens"),
+    (("trinomial", "--fermat", "4", "--table", "--precision", "3"),
+     "--precision is read only with --prime and without --table"),
 ], ids=["table-prime-4", "samples-0", "samples-negative", "samples-1",
-        "precision-trinomial", "x-without-fn", "vars-with-curve"])
+        "precision-trinomial", "x-without-fn", "vars-with-curve", "vars-0", "vars-negative",
+        "mult-with-in", "mult-with-left", "n-with-gens", "precision-with-table"])
 def test_invalid_option_is_one_line_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -163,6 +176,11 @@ MISUSE = {
     "threads-verify": ("verify", "--list", "--threads", "1"),
     "case-and-list": ("verify", "--list", "--case", "tent-exact"),
     "no-case": ("verify", "--format", "csv"),
+    "in-and-degrees": ("density", "--in", "pair.json", "--degrees", "1,1", "--mult", "5"),
+    "files-and-degrees": ("segre", "--left", "a.json", "--right", "b.json",
+                          "--degrees", "3,3"),
+    "left-and-degrees": ("segre", "--left", "a.json", "--degrees", "1,1",
+                         "--degrees2", "1,1"),
 }
 
 

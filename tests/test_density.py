@@ -15,8 +15,6 @@ from hkfun.density import (
     PairDensity,
     RegularityVerdict,
     SymmetryClass,
-    alpha_bounds_check,
-    ceiling,
     ceiling_polynomial,
     frobenius_bracket_scale,
     regularity_verdict,
@@ -36,9 +34,6 @@ def test_ceiling_examples():
     assert ceiling_polynomial(1, 2) == Polynomial([0, 1])
     assert ceiling_polynomial(1, 3)(1) == Fraction(1, 2)
     assert ceiling_polynomial(6, 2)(1) == 6
-    cap = ceiling(tent_pair())
-    assert cap(Fraction(1, 2)) == Fraction(1, 2)
-    assert cap(4) == 0
 
 
 def test_pair_density_validation():
@@ -169,14 +164,6 @@ def test_regularity_verdict():
     assert regularity_verdict(quadric_cone_pair()) is RegularityVerdict.NOT_REGULAR
     assert regularity_verdict(parameter_density(1, (1, 1, 1))) is \
         RegularityVerdict.REGULAR_CERTIFIED
-
-
-def test_alpha_bounds_check():
-    assert alpha_bounds_check([1, 1, 1], Fraction(3, 2))
-    assert not alpha_bounds_check([2, 3], 2)  # must exceed the smallest degree
-    assert not alpha_bounds_check([1], Fraction(1, 2))
-    assert alpha_bounds_check([1], 1)
-    assert not alpha_bounds_check([1, 2], 4)
 
 
 def test_pair_json_round_trip():

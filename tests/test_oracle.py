@@ -201,6 +201,58 @@ def test_scaling_check():
     )
 
 
+def test_scaling_check_dense_path():
+    # the lengths of (x + y, x + 2y)^[9] depend on the coefficients
+    gens = [parse_polynomial("x + y", 2), parse_polynomial("x + 2*y", 2)]
+    assert quotient_lengths(3, None, gens, 9)[0] == "dense"
+    assert scaling_check(3, None, gens, 3, 3)
+
+
+BRACKET_MUTANTS = {
+    "unit-coefficients": lambda bracket: {e: 1 for e in bracket},
+    "first-term-only": lambda bracket: dict([next(iter(bracket.items()))]),
+}
+
+
+@pytest.mark.parametrize("mutate", BRACKET_MUTANTS.values(), ids=BRACKET_MUTANTS.keys())
+def test_scaling_check_catches_wrong_brackets(monkeypatch, mutate):
+    """A ``frobenius_power`` that is wrong for q > 1 fails the check: its
+    left side multiplies the powers out and brackets by q = 1 only."""
+    bracket = oracle.frobenius_power
+    monkeypatch.setattr(oracle, "frobenius_power", lambda poly, q, p: (
+        mutate(bracket(poly, q, p)) if q > 1 else bracket(poly, q, p)))
+    gens = [parse_polynomial("x + y", 2), parse_polynomial("x + 2*y", 2)]
+    assert not scaling_check(3, None, gens, 3, 3)
+    cone_gens = [parse_polynomial(g, 3) for g in ("x + y", "x + 2*y", "z")]
+    assert not scaling_check(3, QUADRIC_CONE, cone_gens, 3, 3)
+
+
+# p, number of variables, J, and l(S/J^[q]) by q
+KUNZ_REGULAR = [
+    (3, 2, ("x + y", "y^2"), {3: 18, 9: 162}),
+    (3, 3, ("x + y", "y^2", "z^2 + x*y", "z^3"), {3: 108}),
+    (2, 3, ("x^2", "x*y + z^2", "y^2", "z^3"), {2: 56, 4: 448}),
+]
+
+
+@pytest.mark.parametrize("p, num_vars, texts, totals", KUNZ_REGULAR)
+def test_kunz_on_polynomial_ring(p, num_vars, texts, totals):
+    """Kunz: on a regular ring l(S/J^[q]) = q^dim * l(S/J) for every
+    m-primary J.  These J take the dense path, so this checks the brackets
+    and the rank code with no closed form involved."""
+    gens = [parse_polynomial(t, num_vars) for t in texts]
+    colength = colength_profile(p, None, gens, 1).total()
+    for q, total in totals.items():
+        assert quotient_lengths(p, None, gens, q)[0] == "dense"
+        assert colength_profile(p, None, gens, q).total() == total == q ** num_vars * colength
+
+
+def test_kunz_fails_on_quadric_cone():
+    # off a regular ring l(R/m^[q]) = q^dim * l(R/m) fails: here it is not q^2
+    totals = {q: colength_profile(3, QUADRIC_CONE, XYZ_VARS, q).total() for q in (3, 9, 27)}
+    assert totals == {3: 13, 9: 121, 27: 1093}
+
+
 def test_parse_polynomial():
     assert parse_polynomial("x*y - z^2", 3) == {(1, 1, 0): 1, (0, 0, 2): -1}
     assert parse_polynomial("x^4+y^4+z^4", 3) == {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}

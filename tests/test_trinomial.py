@@ -49,7 +49,6 @@ def test_fermat_classification():
     inv = kind.invariants
     assert (inv.alpha, inv.beta, inv.nu, inv.lam) == (4, 4, 4, 16)
     assert inv.lambda_h == 4
-    assert inv.t_h == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
 
 
 def test_cyclic_classification():
