@@ -2,8 +2,10 @@
 and plot-ready exact sampling.
 
 Each subcommand takes only the options it reads: ``--format`` and ``--out``
-everywhere, ``--precision`` everywhere but ``verify``, ``--format samples``
-and ``--samples`` on volume, density, segre, bundle and syzygy.
+everywhere, ``--format samples`` and ``--samples`` on volume, density, segre,
+bundle and syzygy.  ``--precision`` is read only where a ``*_dec`` field is
+printed: with ``--format samples``, and in the JSON of ``trinomial --prime``
+(without ``--table``) and of ``oracle --op ehk|fthreshold``.
 ``trinomial`` and ``oracle`` take one curve flag at most; each pair density
 of ``density`` and ``segre`` comes from degrees or from a JSON file.
 
@@ -74,6 +76,11 @@ def _precision(args) -> int:
     return 12 if args.precision is None else args.precision
 
 
+def _reject_unread_precision(args, read: bool, where: str) -> None:
+    if args.precision is not None and not read:
+        raise ValueError(f"--precision is read only {where}")
+
+
 def _sample_rows(f: PiecewisePolynomial, n: int, precision: int) -> list[dict]:
     lo, hi = _density_window(f)
     xs = [lo + (hi - lo) * j / (n - 1) for j in range(n)]
@@ -112,6 +119,7 @@ def _emit(payload: dict, rows: Optional[list[dict]], args) -> None:
 
 
 def _emit_density(f: PiecewisePolynomial, extra: dict, args) -> None:
+    _reject_unread_precision(args, args.format == "samples", "with --format samples")
     if args.format == "samples":
         rows = _sample_rows(f, args.samples, _precision(args))
         _emit({**extra, "samples": rows}, rows, args)
@@ -208,8 +216,9 @@ def _curve_from_args(args):
 
 
 def _cmd_trinomial(args) -> int:
-    if args.precision is not None and (args.prime is None or args.table):
-        raise ValueError("--precision is read only with --prime and without --table")
+    _reject_unread_precision(args, args.prime is not None and not args.table,
+                             "with --prime and without --table")
+    _reject_unread_precision(args, args.format == "json", "with --format json")
     curve = _curve_from_args(args)
     kind = classify(curve)
     payload: dict = {"curve": repr(curve), "degree": curve.degree, "n": args.n}
@@ -271,6 +280,9 @@ def _cmd_oracle(args) -> int:
         raise ValueError(f"--x is read only by --op fn, not --op {args.op}")
     if args.gens and args.n is not None:
         raise ValueError("--n is read only without --gens")
+    _reject_unread_precision(args, args.op in ("ehk", "fthreshold"),
+                             f"by --op ehk and --op fthreshold, not --op {args.op}")
+    _reject_unread_precision(args, args.format == "json", "with --format json")
     n = 1 if args.n is None else args.n
     curve, hyp, gens = _oracle_ideal(args, n)
     p, q = args.prime, args.q

@@ -20,10 +20,8 @@ shortcut rests on an argument, not on a tolerance:
 - ``Polynomial.__call__`` starts Horner at the leading coefficient,
   ``Polynomial.__sub__`` subtracts coefficient lists directly, and
   ``Polynomial`` keeps Fraction coefficients as they are.
-- ``is_nonneg_on_closed`` stops after the endpoint checks when the squarefree
-  part is linear.  Then p = c*(x - r)^k has one distinct root, p keeps one
-  sign on each side of r, and each side of r within [a, b] reaches an end
-  where p >= 0 is already known.
+- ``is_nonneg_on_closed`` tests the odd-multiplicity part of p on (a, b): p
+  over it is a square, and it is squarefree, so its roots are p's sign changes.
 - Canonical form makes two checks of ``hkfun.density`` local.  An affine
   substitution maps distinct neighbouring segments to distinct ones, so
   ``f.reflect(c)`` has exactly the breakpoints c - b in reverse order, and a
@@ -211,16 +209,21 @@ def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]):
     return a
 
 
+def _quotient(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a / b for b dividing a."""
+    q, r = _poly_divmod(a.coeffs, b.coeffs)
+    assert not r
+    return Polynomial(q)
+
+
 def squarefree_part(p: Polynomial) -> Polynomial:
     """p divided by gcd(p, p'); same real roots, all simple."""
     if p.degree <= 1:
         return p
-    g = _poly_gcd(list(p.coeffs), list(p.derivative().coeffs))
-    if len(g) <= 1:
+    g = Polynomial(_poly_gcd(p.coeffs, p.derivative().coeffs))
+    if g.degree < 1:
         return p
-    q, r = _poly_divmod(list(p.coeffs), g)
-    assert not r
-    return Polynomial(q)
+    return _quotient(p, g)
 
 
 def _sturm_chain(p: Polynomial):
@@ -276,60 +279,37 @@ def is_positive_on_open(p: Polynomial, a: QLike, b: QLike) -> bool:
     return p((a + b) / 2) > 0
 
 
-def _separate_roots(sf: Polynomial, a: Fraction, b: Fraction):
-    """Cover [a, b] by intervals (u, v, k) with k <= 1 interior roots of sf,
-    where every one-root interval has non-root endpoints.  Sign analysis of
-    any polynomial with the same distinct roots is then pointwise: its sign
-    is constant on each root-free stretch between the returned endpoints."""
-    def classify(u, v):
-        k = count_roots_open(sf, u, v)
-        if k > 1:
-            return None
-        if k == 1 and (sf(u) == 0 or sf(v) == 0):
-            return None
-        return k
-
-    def split(u, v):
-        k = classify(u, v)
-        if k is not None:
-            return [(u, v, k)]
-        mid = (u + v) / 2
-        if sf(mid) == 0:
-            eps = (v - u) / 8
-            while (sf(mid - eps) == 0 or sf(mid + eps) == 0
-                   or count_roots_open(sf, mid - eps, mid + eps) > 1):
-                eps /= 2
-            return (split(u, mid - eps) + [(mid - eps, mid + eps, 1)]
-                    + split(mid + eps, v))
-        return split(u, mid) + split(mid, v)
-
-    return split(a, b)
+def _odd_part(p: Polynomial) -> Polynomial:
+    """c * prod_{i odd} a_i for p = c * prod a_i^i, with squarefree, pairwise
+    coprime monic a_i (Yun's square-free decomposition)."""
+    if p.degree < 2:
+        return p
+    dp = p.derivative()
+    g = Polynomial(_poly_gcd(p.coeffs, dp.coeffs))
+    # entering round i, b = prod_{j >= i} a_j and
+    # d = sum_{j >= i} (j - i) * a_j' * prod_{k >= i, k != j} a_k, up to constants
+    b = _quotient(p, g)
+    d = _quotient(dp, g) - b.derivative()
+    odd, i = Polynomial([p.coeffs[-1]]), 1
+    while b.degree > 0:
+        a = _poly_gcd(b.coeffs, d.coeffs)
+        a = Polynomial([c / a[-1] for c in a])
+        b = _quotient(b, a)
+        if i % 2:
+            odd = odd * a
+        d = _quotient(d, a) - b.derivative()
+        i += 1
+    return odd
 
 
 def is_nonneg_on_closed(p: Polynomial, a: QLike, b: QLike) -> bool:
     """Exact test: p(x) >= 0 for all x in the closed interval [a, b]."""
     a, b = as_fraction(a), as_fraction(b)
-    if a > b:
+    if a > b or p.is_zero:
         return True
-    if p.is_zero:
-        return True
-    if p(a) < 0 or p(b) < 0:
-        return False
-    sf = squarefree_part(p)
-    if sf.degree < 1:
-        return p((a + b) / 2) >= 0
-    if a == b or sf.degree == 1:
-        # one distinct root r: p = c*(x - r)^k keeps one sign on each side of
-        # r, and each side of r within [a, b] reaches a nonnegative end
-        return True
-    for u, v, k in _separate_roots(sf, a, b):
-        if p(u) < 0 or p(v) < 0:
-            return False
-        # a one-root interval has nonzero (hence positive) values at both
-        # ends, so the sign cannot dip; root-free intervals need one sample
-        if k == 0 and p((u + v) / 2) < 0:
-            return False
-    return True
+    if a == b:
+        return p(a) >= 0
+    return is_positive_on_open(_odd_part(p), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +538,6 @@ class PiecewisePolynomial:
         """Exact check that f >= 0 everywhere (tails included)."""
         for lo, hi, seg in self.iter_pieces():
             if seg.is_zero:
-                continue
-            if seg.degree == 0:
-                if seg.coeffs[0] < 0:
-                    return False
                 continue
             if lo is None or hi is None:
                 # unbounded ends: widen to a window past every real root,

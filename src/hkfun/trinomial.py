@@ -8,21 +8,6 @@ regular case reduces to a finite residue computation: the threshold depends
 on the prime p only through the class of p modulo 2*lambda_h, and each class
 is decided by a taxicab-distance search over a bounded set of integer
 corners.
-
-Residue-search normalization
-----------------------------
-The corner scan below works at denominator ``lambda_h = lambda / a`` (``a``
-is the gcd of the four curve invariants) and produces a raw distance
-``T_raw``.  The reported distance is renormalized to denominator ``lambda``:
-
-    T = 1 - (1 - T_raw) / a,
-
-which makes ``lambda * (1 - T) = lambda_h * (1 - T_raw)`` an integer, the
-quantity the threshold formula consumes.  With this normalization the
-closed-form thresholds agree with brute-force characteristic-p computations
-on every curve in the test suite; the scan without the renormalization does
-not.  ``lambda * (1 - T)`` is checked integral where each row is built, a guard
-against drift.
 """
 
 from __future__ import annotations
@@ -235,8 +220,7 @@ def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
     forces each coordinate of the witness to be floor(v_i) or floor(v_i) + 1,
     the latter only when v_i is not an integer, so scanning this corner set
     is exhaustive; an odd-sum corner u has distance numerator
-    sum |N_i - u_i * lambda|.  The returned T carries the lambda-denominator
-    normalization described in the module docstring.
+    sum |N_i - u_i * lambda|, and T is the least such numerator over lambda.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -245,7 +229,6 @@ def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
     if gcd(l, modulus) != 1:
         raise ValueError(f"l must be coprime to {modulus}")
     lam = inv.lam
-    a = inv.common_factor
     weights = (inv.alpha * n, inv.beta * n, inv.nu * n)
     ls = 1
     for s in range(multiplicative_order(l, modulus)):
@@ -265,7 +248,7 @@ def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
                 if dist < lam and (best is None or dist < best):
                     best = dist
         if best is not None:
-            return TaxicabResult(T=1 - (1 - Fraction(best, lam)) / a, D=s)
+            return TaxicabResult(T=Fraction(best, lam), D=s)
         ls = (ls * l) % modulus
     return TaxicabResult(T=Fraction(1), D=None)
 
@@ -294,8 +277,8 @@ def f_threshold(curve: TrinomialCurve, n: int, p: int) -> Fraction:
     """Exact F-threshold of (x,y,z) with respect to (x^n, y^n, z^n) on the
     trinomial curve, in characteristic p.
 
-    Irregular curve of multiplicity r:  (n+2)/2 + (2r-d)*n/(2d).
-    Regular curve:  (n+2)/2 + lambda*(1-T)/(2*p^D*d) from the residue search
+    Irregular curve of multiplicity r:  3n/2 + (2r-d)*n/(2d).
+    Regular curve:  3n/2 + lambda*(1-T)/(2*p^D*d) from the residue search
     at the class of p modulo 2*lambda_h.
 
     The closed forms are backed by theory for p >= max(n, d^2) in the regular
@@ -308,7 +291,7 @@ def f_threshold(curve: TrinomialCurve, n: int, p: int) -> Fraction:
     d = curve.degree
     kind = classify(curve)
     if isinstance(kind, Irregular):
-        return Fraction(n + 2, 2) + Fraction((2 * kind.multiplicity - d) * n, 2 * d)
+        return Fraction(3 * n, 2) + Fraction((2 * kind.multiplicity - d) * n, 2 * d)
     inv = kind.invariants
     l = residue_representative(p, inv.lambda_h)
     if gcd(l, 2 * inv.lambda_h) != 1:
@@ -353,12 +336,12 @@ def residue_table(curve: TrinomialCurve, n: int) -> list[ResidueRow]:
 
 def _residue_row(inv: TrinomialInvariants, n: int, d: int, l: int) -> ResidueRow:
     """The regular threshold at the class l: the scan's (T, D) with the
-    formula's base (n+2)/2 and integral weight lambda*(1-T)."""
+    formula's base 3n/2 and integral weight lambda*(1-T)."""
     res = taxicab_search(inv, n, l)
     weight = inv.lam * (1 - res.T)
     if weight.denominator != 1:
         raise ArithmeticError(
-            f"lambda*(1-T) = {weight} is not an integer; the residue search "
-            "normalization drifted")
-    return ResidueRow(representative=l, T=res.T, D=res.D, base=Fraction(n + 2, 2),
+            f"lambda*(1-T) = {weight} is not an integer; the corner scan "
+            "left the 1/lambda grid")
+    return ResidueRow(representative=l, T=res.T, D=res.D, base=Fraction(3 * n, 2),
                       weight=weight.numerator, poldeg=d)

@@ -144,12 +144,14 @@ def _case_irregular_quintic() -> VerifyResult:
 
 
 def _case_scaling() -> VerifyResult:
-    ok = oracle.scaling_check(3, QUADRIC_CONE, oracle.variable_powers(3, 1), 3, 3)
+    # non-monomial generators, so that the bracket's coefficients matter
+    gens = [oracle.parse_polynomial(g, 3) for g in ("x + y", "x + 2*y", "z")]
+    ok = oracle.scaling_check(3, QUADRIC_CONE, gens, 3, 3)
     return VerifyResult(name="scaling-quadric-cone", passed=ok,
                         measured="equal" if ok else "unequal", target="equal",
                         tolerance="0", gap="0" if ok else "1",
-                        detail="colengths of the literal powers (g^3)^3 mod 3 and of "
-                               "I^[9] agree degree by degree")
+                        detail="for I = (x + y, x + 2y, z), colengths of the literal "
+                               "powers (g^3)^3 mod 3 and of I^[9] agree degree by degree")
 
 
 def _case_volume_convergence() -> VerifyResult:

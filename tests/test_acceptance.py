@@ -108,10 +108,15 @@ def test_criterion_4_quadric_cone():
 def test_criterion_5_fermat_thresholds():
     started = time.monotonic()
     failures = []
+    # The criterion first stated 349/232 at p = 29 and 3/2 + 1/322 at p = 23,
+    # which divide the corner distance's excess by the gcd of the curve
+    # invariants.  The oracle's exact tops at q = p^2 give the values below:
+    # 1277 = 841 * 44/29 + 1 for the quartic and 809 = 529 * 35/23 + 4 for the
+    # septic, where the first values put q * threshold at 1265.1 and 795.1.
     expected = [
         (fermat(4), 17, Fraction(3, 2)),
-        (fermat(4), 29, Fraction(349, 232)),
-        (fermat(7), 23, Fraction(3, 2) + Fraction(1, 322)),
+        (fermat(4), 29, Fraction(44, 29)),
+        (fermat(7), 23, Fraction(35, 23)),
     ]
     for curve, p, target in expected:
         value = f_threshold(curve, 1, p)
@@ -268,16 +273,18 @@ def test_criterion_9_calibration_gate():
                             f"{row.threshold_at(sample_prime)}, want {sample_value}")
 
     one = Fraction(1)
-    # diagonal curves x^d + y^d + z^d
+    # diagonal curves x^d + y^d + z^d.  The rows with D = 1 were first stated
+    # as (15/16, 1, 1), (11/12, 1, 3) and (48/49, 1, 1): T renormalised by the
+    # gcd d of the invariants.  The oracle supports the scan's own distance:
+    # tops 1277 = 841 * 44/29 + 1 at p = 29, 66/41 = 63/41 + 3/q at p = q = 41
+    # and 809 = 529 * 35/23 + 4 at p = 23 (see criterion 5).
     check(fermat(4), 1, one, None, 0, 17, Fraction(3, 2))
-    check(fermat(4), 3, Fraction(15, 16), 1, 1, 29, Fraction(349, 232))
+    check(fermat(4), 3, Fraction(3, 4), 1, 4, 29, Fraction(44, 29))
     check(fermat(5), 1, one, None, 0)
     check(fermat(6), 1, one, None, 0)
-    check(fermat(6), 5, Fraction(11, 12), 1, 3, 41,
-          Fraction(3, 2) + Fraction(6 - 3, 2 * 6 * 41))
+    check(fermat(6), 5, Fraction(1, 2), 1, 18, 41, Fraction(63, 41))
     check(fermat(7), 1, one, None, 0)
-    check(fermat(7), 5, Fraction(48, 49), 1, 1, 23,
-          Fraction(3, 2) + Fraction(7 - 6, 2 * 7 * 23))
+    check(fermat(7), 5, Fraction(6, 7), 1, 7, 23, Fraction(35, 23))
     # cyclic curves x^(d-1)y + y^(d-1)z + z^(d-1)x
     check(cyclic(4), 1, one, None, 0)
     check(cyclic(5), 1, one, None, 0)

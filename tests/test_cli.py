@@ -34,7 +34,7 @@ def test_trinomial_threshold(capsys):
     code, out, _ = run_cli(capsys, "trinomial", "--fermat", "4", "--n", "1",
                            "--prime", "29", "--format", "json")
     assert code == 0
-    assert json.loads(out)["threshold"] == "349/232"
+    assert json.loads(out)["threshold"] == "44/29"
 
 
 def test_trinomial_residue_table_csv(capsys):
@@ -51,7 +51,7 @@ def test_trinomial_table_with_threshold_column(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "residue,T,D,formula,threshold_at_p"
-    assert lines[2].endswith("349/232")
+    assert lines[2].endswith("44/29")
 
 
 def test_verify_case(capsys):
@@ -116,6 +116,9 @@ def test_malformed_curve_is_one_line_error(capsys, argv):
     assert err.count("\n") == 1
 
 
+ORACLE_EHK = ("oracle", "--prime", "5", "--q", "5", "--op", "ehk")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("trinomial", "--fermat", "4", "--table", "--prime", "4", "--format", "csv"),
      "4 is not prime"),
@@ -144,9 +147,23 @@ def test_malformed_curve_is_one_line_error(capsys, argv):
      "--n is read only without --gens"),
     (("trinomial", "--fermat", "4", "--table", "--precision", "3"),
      "--precision is read only with --prime and without --table"),
+    (("density", "--degrees", "1,1", "--precision", "3"),
+     "--precision is read only with --format samples"),
+    (("density", "--degrees", "1,1", "--format", "csv", "--precision", "3"),
+     "--precision is read only with --format samples"),
+    (("oracle", "--prime", "3", "--q", "3", "--op", "profile", "--precision", "3"),
+     "--precision is read only by --op ehk and --op fthreshold, not --op profile"),
+    (("oracle", "--prime", "3", "--q", "3", "--op", "fn", "--x", "1/2", "--precision", "3"),
+     "--precision is read only by --op ehk and --op fthreshold, not --op fn"),
+    (ORACLE_EHK + ("--fermat", "4", "--format", "csv", "--precision", "3"),
+     "--precision is read only with --format json"),
+    (("trinomial", "--fermat", "4", "--prime", "29", "--format", "csv", "--precision", "3"),
+     "--precision is read only with --format json"),
 ], ids=["table-prime-4", "samples-0", "samples-negative", "samples-1",
         "precision-trinomial", "x-without-fn", "vars-with-curve", "vars-0", "vars-negative",
-        "mult-with-in", "mult-with-left", "n-with-gens", "precision-with-table"])
+        "mult-with-in", "mult-with-left", "n-with-gens", "precision-with-table",
+        "precision-density-json", "precision-density-csv", "precision-oracle-profile",
+        "precision-oracle-fn", "precision-oracle-csv", "precision-trinomial-csv"])
 def test_invalid_option_is_one_line_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -154,7 +171,6 @@ def test_invalid_option_is_one_line_error(capsys, argv, message):
     assert err == f"hkfun: error: {message}\n"
 
 
-ORACLE_EHK = ("oracle", "--prime", "5", "--q", "5", "--op", "ehk")
 MISUSE = {
     "two-curves": ("trinomial", "--fermat", "5", "--cyclic", "4"),
     "two-curves-oracle": ORACLE_EHK + ("--typeI", "3,1,3,1,3,1", "--fermat", "4"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_graded_length
-from hkfun import oracle
+from hkfun import oracle, verify
 from hkfun.oracle import (
     OracleError,
     colength_profile,
@@ -225,6 +225,7 @@ def test_scaling_check_catches_wrong_brackets(monkeypatch, mutate):
     assert not scaling_check(3, None, gens, 3, 3)
     cone_gens = [parse_polynomial(g, 3) for g in ("x + y", "x + 2*y", "z")]
     assert not scaling_check(3, QUADRIC_CONE, cone_gens, 3, 3)
+    assert not verify.run_case("scaling-quadric-cone").passed
 
 
 # p, number of variables, J, and l(S/J^[q]) by q

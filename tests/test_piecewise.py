@@ -10,13 +10,12 @@ from conftest import combine_by_lookup, subtract_by_negation
 from hkfun.piecewise import (
     PiecewisePolynomial,
     Polynomial,
-    _separate_roots,
+    _odd_part,
     as_fraction,
     count_roots_open,
     fraction_str,
     is_nonneg_on_closed,
     is_positive_on_open,
-    squarefree_part,
     tent_function,
 )
 
@@ -244,7 +243,7 @@ def factored_on_interval(draw):
     """c * prod (x - r)^k, times (x - s)^2 + t with t > 0 or not, on [a, b]:
     every real root is a known rational, and roots, touching double roots
     and endpoints often coincide."""
-    roots = draw(st.lists(st.tuples(SMALL_RATIONALS, st.integers(1, 2)), max_size=3))
+    roots = draw(st.lists(st.tuples(SMALL_RATIONALS, st.integers(1, 4)), max_size=3))
     poly = Polynomial([draw(st.sampled_from([-2, -1, 1, 3]))])
     for r, k in roots:
         for _ in range(k):
@@ -270,18 +269,6 @@ def test_nonneg_on_closed_matches_sign_at_roots_and_samples(case):
         assert all(poly(x) >= 0 for x in _samples(a, b))
 
 
-def _nonneg_by_separation(p, a, b):
-    """is_nonneg_on_closed without shortcuts: the sign at both ends of every
-    root-separating interval, and at the midpoint of each root-free one."""
-    if a > b or p.is_zero:
-        return True
-    sf = squarefree_part(p)
-    if sf.degree < 1:
-        return p(a) >= 0
-    return all(p(u) >= 0 and p(v) >= 0 and (k == 1 or p((u + v) / 2) >= 0)
-               for u, v, k in _separate_roots(sf, a, b))
-
-
 WIDTHS = st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=8)
 
 
@@ -304,7 +291,26 @@ def test_nonneg_on_closed_one_distinct_root(c, r, k, s, j, place, w1, w2):
     points = marks + [(u + v) / 2 for u, v in zip(marks, marks[1:])]
     expected = all(poly(x) >= 0 for x in points)
     assert is_nonneg_on_closed(poly, a, b) == expected
-    assert _nonneg_by_separation(poly, a, b) == expected
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([-2, -1, 1, 3]),
+       st.dictionaries(SMALL_RATIONALS, st.integers(1, 5), max_size=3),
+       st.integers(-2, 2), st.integers(1, 3), st.integers(0, 3))
+def test_odd_part_keeps_odd_multiplicity_factors(c, roots, s, t, j):
+    # c * prod (x - r)^k * ((x - s)^2 + t)^j with distinct r and t > 0
+    quadratic = Polynomial([s * s + t, -2 * s, 1])
+    poly = odd = Polynomial([c])
+    for r, k in roots.items():
+        for _ in range(k):
+            poly = poly * Polynomial([-r, 1])
+        if k % 2:
+            odd = odd * Polynomial([-r, 1])
+    for _ in range(j):
+        poly = poly * quadratic
+    if j % 2:
+        odd = odd * quadratic
+    assert _odd_part(poly) == odd
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)

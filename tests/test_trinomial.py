@@ -7,6 +7,7 @@ from math import floor, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hkfun.oracle import fthreshold_estimate
 from hkfun.trinomial import (
     Irregular,
     Regular,
@@ -96,7 +97,7 @@ def test_taxicab_search_trivial_class():
 def test_taxicab_search_fermat4():
     inv = classify(fermat(4)).invariants
     res = taxicab_search(inv, 1, 5)
-    assert res.T == Fraction(15, 16)
+    assert res.T == Fraction(3, 4)
     assert res.D == 1
     assert res == taxicab_search(inv, 1, 3)  # 5 = -3 mod 8: same class
 
@@ -122,7 +123,7 @@ def _fraction_corner_scan(inv, n, l):
         below = [dist for dist in (taxicab_distance(v, u) for u in corners if sum(u) % 2)
                  if dist < 1]
         if below:
-            return 1 - (1 - min(below)) / inv.common_factor, s
+            return min(below), s
     return Fraction(1), None
 
 
@@ -152,8 +153,8 @@ def test_taxicab_search_rejects_non_units():
 def test_f_threshold_values():
     f4 = fermat(4)
     assert f_threshold(f4, 1, 17) == Fraction(3, 2)
-    assert f_threshold(f4, 1, 29) == Fraction(349, 232)
-    assert f_threshold(fermat(7), 1, 23) == Fraction(3, 2) + Fraction(1, 322)
+    assert f_threshold(f4, 1, 29) == Fraction(44, 29)
+    assert f_threshold(fermat(7), 1, 23) == Fraction(35, 23)
     # cyclic thresholds in the residue class of lambda +- 2
     assert f_threshold(cyclic(5), 1, 11) == Fraction(3, 2) + Fraction(7, 10 * 11 ** 3)
     assert f_threshold(cyclic(6), 1, 19) == Fraction(3, 2) + Fraction(1, 2 * 19 ** 2)
@@ -166,7 +167,7 @@ def test_f_threshold_irregular():
     # linear correction (2r-d)*n/(2d); the oracle pins this value, see the
     # acceptance suite and project notes
     assert f_threshold(witness, 1, 13) == Fraction(8, 5)
-    assert f_threshold(witness, 2, 13) == 2 + Fraction(2, 10)
+    assert f_threshold(witness, 2, 13) == Fraction(16, 5)
     assert f_threshold(witness, 1, 7) == Fraction(8, 5)  # p-independent
 
 
@@ -178,7 +179,7 @@ def test_f_threshold_validation():
 
 
 def test_threshold_gap_range():
-    # threshold - (n+2)/2 lies in [0, lambda/(2d)) and is 0 exactly at (1, inf)
+    # threshold - 3n/2 lies in [0, lambda/(2d)) and is 0 exactly at (1, inf)
     for curve in (fermat(4), fermat(6), cyclic(5), cyclic(6)):
         inv = classify(curve).invariants
         d = curve.degree
@@ -192,10 +193,10 @@ def test_residue_table_fermat4():
     rows = residue_table(fermat(4), 1)
     assert [(r.representative, r.T, r.D) for r in rows] == [
         (1, Fraction(1), None),
-        (3, Fraction(15, 16), 1),
+        (3, Fraction(3, 4), 1),
     ]
     assert rows[0].formula == "3/2"
-    assert rows[1].threshold_at(29) == Fraction(349, 232)
+    assert rows[1].threshold_at(29) == Fraction(44, 29)
 
 
 def test_residue_table_row_count():
@@ -237,7 +238,23 @@ def test_oracle_agreement_fermat4_at_q_p_squared():
     # |closed form - top/q| <= 3/q also at q = p^2 (the q = p cases are in
     # the acceptance suite); this is the heaviest single oracle call kept in
     # the regular tests
-    from hkfun.oracle import fthreshold_estimate
     target = f_threshold(fermat(4), 1, 17)
     estimate = fthreshold_estimate(17, {e: 1 for e in fermat(4).monomials()}, 1, 289)
     assert abs(estimate - target) <= Fraction(3, 289)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_oracle_top_fermat4_exact_at_q_p_squared(p):
+    # in the class of 3 mod 8 the quartic's top degree at q = p^2 is exactly
+    # q * threshold + 1, so q * threshold is an integer one below it
+    q = p * p
+    estimate = fthreshold_estimate(p, {e: 1 for e in fermat(4).monomials()}, 1, q)
+    assert estimate * q == q * f_threshold(fermat(4), 1, p) + 1
+
+
+@pytest.mark.parametrize("curve, p", [(fermat(4), 11), (irregular_quintic_witness(), 13)],
+                         ids=["fermat4", "witness"])
+def test_oracle_agreement_n2_at_q_p(curve, p):
+    # at n = 2 the base 3n/2 and the base (n+2)/2 differ by 1, far past 3/q
+    estimate = fthreshold_estimate(p, {e: 1 for e in curve.monomials()}, 2, p)
+    assert abs(estimate - f_threshold(curve, 2, p)) <= Fraction(3, p)
