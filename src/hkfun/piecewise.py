@@ -280,26 +280,14 @@ def is_positive_on_open(p: Polynomial, a: QLike, b: QLike) -> bool:
 
 
 def _odd_part(p: Polynomial) -> Polynomial:
-    """c * prod_{i odd} a_i for p = c * prod a_i^i, with squarefree, pairwise
-    coprime monic a_i (Yun's square-free decomposition)."""
+    """prod_{i odd} a_i times a constant, for p = c * prod a_i^i with
+    squarefree, pairwise coprime a_i; p over it is a positive constant times
+    a square.  g = gcd(p, p') is prod a_i^(i-1) up to a constant, so p/g is
+    prod a_i and the odd part of g is prod_{i even} a_i."""
     if p.degree < 2:
         return p
-    dp = p.derivative()
-    g = Polynomial(_poly_gcd(p.coeffs, dp.coeffs))
-    # entering round i, b = prod_{j >= i} a_j and
-    # d = sum_{j >= i} (j - i) * a_j' * prod_{k >= i, k != j} a_k, up to constants
-    b = _quotient(p, g)
-    d = _quotient(dp, g) - b.derivative()
-    odd, i = Polynomial([p.coeffs[-1]]), 1
-    while b.degree > 0:
-        a = _poly_gcd(b.coeffs, d.coeffs)
-        a = Polynomial([c / a[-1] for c in a])
-        b = _quotient(b, a)
-        if i % 2:
-            odd = odd * a
-        d = _quotient(d, a) - b.derivative()
-        i += 1
-    return odd
+    g = Polynomial(_poly_gcd(p.coeffs, p.derivative().coeffs))
+    return _quotient(_quotient(p, g), _odd_part(g))
 
 
 def is_nonneg_on_closed(p: Polynomial, a: QLike, b: QLike) -> bool:

@@ -3,7 +3,8 @@ line (run with ``pytest -s`` to see them).  Tolerances are pinned here, not
 configurable.  Two criteria encode expectations that independent computation
 contradicts; they are asserted as stated and fail honestly, with the measured
 values in the failure message (see notes in the repository root README and
-the test bodies).
+the test bodies).  Criteria 5 and 9 assert threshold values corrected against
+the oracle's exact tops, and check them against the oracle.
 """
 
 from __future__ import annotations
@@ -108,11 +109,10 @@ def test_criterion_4_quadric_cone():
 def test_criterion_5_fermat_thresholds():
     started = time.monotonic()
     failures = []
-    # The criterion first stated 349/232 at p = 29 and 3/2 + 1/322 at p = 23,
-    # which divide the corner distance's excess by the gcd of the curve
-    # invariants.  The oracle's exact tops at q = p^2 give the values below:
-    # 1277 = 841 * 44/29 + 1 for the quartic and 809 = 529 * 35/23 + 4 for the
-    # septic, where the first values put q * threshold at 1265.1 and 795.1.
+    # c = 3n/2 + lambda(1 - T)/(2 p^D d), T the least corner distance.  At
+    # q = p^2 the oracle's exact top is q*c + 1 for the quartic at p = 29
+    # (1277 = 841 * 44/29 + 1) and q*c + 4 for the septic at p = 23
+    # (809 = 529 * 35/23 + 4): above q*c by at most d - 3.
     expected = [
         (fermat(4), 17, Fraction(3, 2)),
         (fermat(4), 29, Fraction(44, 29)),
@@ -123,6 +123,13 @@ def test_criterion_5_fermat_thresholds():
         if value != target:
             failures.append(f"threshold of degree-{curve.degree} curve at p={p} "
                             f"is {value}, not {target}")
+    for curve, p in ((fermat(4), 29), (fermat(7), 23)):
+        q = p * p
+        top = q * fthreshold_estimate(p, {e: 1 for e in curve.monomials()}, 1, q)
+        excess = top - q * f_threshold(curve, 1, p)
+        if not 0 <= excess <= curve.degree - 3:
+            failures.append(f"oracle top {top} at q={q} is q*c + {excess} for the "
+                            f"degree-{curve.degree} curve, want 0..{curve.degree - 3}")
     for p in (17, 29):
         est = fthreshold_estimate(p, {e: 1 for e in fermat(4).monomials()}, 1, p)
         target = f_threshold(fermat(4), 1, p)
@@ -273,11 +280,8 @@ def test_criterion_9_calibration_gate():
                             f"{row.threshold_at(sample_prime)}, want {sample_value}")
 
     one = Fraction(1)
-    # diagonal curves x^d + y^d + z^d.  The rows with D = 1 were first stated
-    # as (15/16, 1, 1), (11/12, 1, 3) and (48/49, 1, 1): T renormalised by the
-    # gcd d of the invariants.  The oracle supports the scan's own distance:
-    # tops 1277 = 841 * 44/29 + 1 at p = 29, 66/41 = 63/41 + 3/q at p = q = 41
-    # and 809 = 529 * 35/23 + 4 at p = 23 (see criterion 5).
+    # diagonal curves x^d + y^d + z^d; the D = 1 rows are checked against the
+    # oracle below
     check(fermat(4), 1, one, None, 0, 17, Fraction(3, 2))
     check(fermat(4), 3, Fraction(3, 4), 1, 4, 29, Fraction(44, 29))
     check(fermat(5), 1, one, None, 0)
@@ -285,6 +289,14 @@ def test_criterion_9_calibration_gate():
     check(fermat(6), 5, Fraction(1, 2), 1, 18, 41, Fraction(63, 41))
     check(fermat(7), 1, one, None, 0)
     check(fermat(7), 5, Fraction(6, 7), 1, 7, 23, Fraction(35, 23))
+    # the oracle at q = p lies above these values by at most (d - 3)/q:
+    # 45/29, 66/41 and 39/23
+    for curve, p in ((fermat(4), 29), (fermat(6), 41), (fermat(7), 23)):
+        est = fthreshold_estimate(p, {e: 1 for e in curve.monomials()}, 1, p)
+        excess = p * (est - f_threshold(curve, 1, p))
+        if not 0 <= excess <= curve.degree - 3:
+            failures.append(f"degree-{curve.degree} Fermat curve: oracle estimate "
+                            f"{est} at q={p} is c + {excess}/q, want 0..{curve.degree - 3}")
     # cyclic curves x^(d-1)y + y^(d-1)z + z^(d-1)x
     check(cyclic(4), 1, one, None, 0)
     check(cyclic(5), 1, one, None, 0)

@@ -298,7 +298,8 @@ def test_nonneg_on_closed_one_distinct_root(c, r, k, s, j, place, w1, w2):
        st.dictionaries(SMALL_RATIONALS, st.integers(1, 5), max_size=3),
        st.integers(-2, 2), st.integers(1, 3), st.integers(0, 3))
 def test_odd_part_keeps_odd_multiplicity_factors(c, roots, s, t, j):
-    # c * prod (x - r)^k * ((x - s)^2 + t)^j with distinct r and t > 0
+    # c * prod (x - r)^k * ((x - s)^2 + t)^j with distinct r and t > 0; the
+    # odd part is fixed up to a positive constant
     quadratic = Polynomial([s * s + t, -2 * s, 1])
     poly = odd = Polynomial([c])
     for r, k in roots.items():
@@ -310,7 +311,9 @@ def test_odd_part_keeps_odd_multiplicity_factors(c, roots, s, t, j):
         poly = poly * quadratic
     if j % 2:
         odd = odd * quadratic
-    assert _odd_part(poly) == odd
+    got = _odd_part(poly)
+    k = got.coeffs[-1] / odd.coeffs[-1]
+    assert k > 0 and got == odd * Polynomial([k])
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
