@@ -22,6 +22,8 @@ shortcut rests on an argument, not on a tolerance:
   ``Polynomial`` keeps Fraction coefficients as they are.
 - ``is_nonneg_on_closed`` tests the odd-multiplicity part of p on (a, b): p
   over it is a square, and it is squarefree, so its roots are p's sign changes.
+  ``is_positive_on_open`` decides a p of degree below 2 by its values at the
+  ends, since it is monotone; most pieces the densities check are linear.
 - Canonical form makes two checks of ``hkfun.density`` local.  An affine
   substitution maps distinct neighbouring segments to distinct ones, so
   ``f.reflect(c)`` has exactly the breakpoints c - b in reverse order, and a
@@ -272,8 +274,10 @@ def is_positive_on_open(p: Polynomial, a: QLike, b: QLike) -> bool:
     a, b = as_fraction(a), as_fraction(b)
     if a >= b:
         return True
-    if p.is_zero:
-        return False
+    if p.degree < 2:
+        # monotone, and zero at one end at most unless p is zero
+        lo, hi = p(a), p(b)
+        return lo >= 0 and hi >= 0 and (lo > 0 or hi > 0)
     if count_roots_open(p, a, b) > 0:
         return False
     return p((a + b) / 2) > 0

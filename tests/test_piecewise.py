@@ -167,6 +167,11 @@ def test_sturm_positivity():
     assert is_positive_on_open(q, 1, 5)
     # zero at an endpoint is fine for the open test
     assert is_positive_on_open(Polynomial([0, 1]), 0, 9)
+    assert is_positive_on_open(Polynomial([9, -1]), 0, 9)
+    assert not is_positive_on_open(Polynomial([4, -1]), 0, 9)
+    assert is_positive_on_open(Polynomial([2]), 0, 1)
+    assert not is_positive_on_open(Polynomial([-2]), 0, 1)
+    assert not is_positive_on_open(Polynomial([]), 0, 1)
 
 
 def test_nonneg_on_closed():
