@@ -17,9 +17,11 @@ degree m, so a sweep or a bisection pays for the setup once.
   a free A-module with basis 1, ..., x_v^(d-1), and the quotient is that
   module modulo the A-span of x_v^(c_v+i) mod h, i < d: the two-variable
   setting of Han-Monsky ("Some surprising Hilbert-Kunz functions", Math. Z.
-  1993).  The d reductions of x_v^(c_v+i) are the setup; a degree is then a
-  rank problem with at most d*max(c) rows and columns, in place of a walk
-  over all monomials of that degree.
+  1993).  The d reductions of x_v^(c_v+i), and their nonzeros, are the
+  setup; a degree is then a rank problem with at most d*max(c) rows and
+  columns, in place of a walk over all monomials of that degree.  Each
+  nonzero lands on the matrix along one run of shifts, so the matrix is
+  written in one scatter.
 
   A curve without a pure power takes this path too when the caps are one Q
   that is a power of p, as for m^[q].  Over F_p every linear form satisfies
@@ -38,6 +40,16 @@ degree m, so a sweep or a bisection pays for the setup once.
   step strictly decreases the lex-largest entry, so the walk terminates).
   Only the small residual system ever reaches dense elimination.
 - ``"dense"``: everything else, capped in size.
+
+All three paths end in one rank kernel, ``dense_rank_modp``.  It first peels
+singletons: a row or column with one nonzero is a pivot, and zero rows and
+columns drop out, pass after pass.  The core left is eliminated in int64
+with delayed reduction, after the FFLAS/FFPACK kernels of Dumas, Giorgi and
+Pernet (ACM TOMS 2008): a step reduces only the pivot column and the pivot
+row mod p, subtracts their outer product from the trailing block unreduced,
+and the block is reduced only when one more step could carry an entry past
+2^62.  A step moves an entry by less than (p - 1)^2, so p must be below
+2^31, which ``quotient_lengths`` checks.  No float is involved.
 """
 
 from __future__ import annotations
@@ -167,28 +179,85 @@ def monomials_of_degree(num_vars: int, m: int) -> Iterator[tuple[int, ...]]:
 # dense rank over F_p
 # ---------------------------------------------------------------------------
 
-def dense_rank_modp(matrix: np.ndarray, p: int) -> int:
-    """Rank by straightforward row elimination, vectorized per pivot."""
-    a = np.array(matrix, dtype=np.int64) % p
-    rows, cols = a.shape
+def _check_prime_bound(p: int) -> None:
+    """The int64 arithmetic of ``dense_rank_modp`` needs p < 2^31."""
+    if p >= 1 << 31:
+        raise ValueError(f"p = {p} is too large: the F_p arithmetic is exact in "
+                         f"int64 only for p < 2^31")
+
+
+def _peel_singletons(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """Pivots found by peeling singletons off a, and the core left over.
+
+    A column whose one nonzero lies in row r is a pivot: column operations
+    with it clear row r, so the rank is 1 plus the rank without row r and
+    that column.  The same holds for a row with one nonzero.  One pass takes
+    every singleton column, then every singleton row among the rows left,
+    and drops zero rows and columns.  These pivots share no row or column:
+    a singleton column and a singleton row meet only at a common pivot, and
+    of several singleton columns on one row only one counts (the others are
+    zero once that row goes); likewise for rows on one column."""
     rank = 0
-    for c in range(cols):
-        if rank == rows:
+    while a.size:
+        nonzero = a != 0
+        col_count = nonzero.sum(axis=0)
+        row_count = nonzero.sum(axis=1)
+        pivot_rows = np.zeros(a.shape[0], dtype=bool)
+        pivot_rows[nonzero[:, col_count == 1].argmax(axis=0)] = True
+        single_rows = (row_count == 1) & ~pivot_rows
+        pivot_cols = np.zeros(a.shape[1], dtype=bool)
+        pivot_cols[nonzero[single_rows].argmax(axis=1)] = True
+        rank += int(pivot_rows.sum()) + int(pivot_cols.sum())
+        keep_rows = (row_count > 1) & ~pivot_rows
+        keep_cols = (col_count > 1) & ~pivot_cols
+        if keep_rows.all() and keep_cols.all():
             break
-        pivots = np.nonzero(a[rank:, c])[0]
-        if pivots.size == 0:
+        a = a[np.ix_(keep_rows, keep_cols)]
+    return rank, a
+
+
+def dense_rank_modp(matrix: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over F_p, for a prime p < 2^31.
+
+    Singletons are peeled first (``_peel_singletons``); the core is then
+    eliminated in int64 with delayed reduction.  At each step only the pivot
+    column (to find the pivot) and the pivot row (scaled to a leading 1) are
+    reduced mod p; the update ``block -= outer(col, row)`` of the trailing
+    block is not.  Reduced factors are below p, so a step moves an entry by
+    less than (p - 1)^2, and the block is reduced only when one more step
+    could carry an entry past 2^62."""
+    _check_prime_bound(p)
+    rank, a = _peel_singletons(np.asarray(matrix, dtype=np.int64) % p)
+    if a.shape[0] < a.shape[1]:
+        a = a.T.copy()  # pivot over the shorter side
+    rows, cols = a.shape
+    room = ((1 << 62) - p) // (p - 1) ** 2  # unreduced steps the block can take
+    pending = 0
+    r = 0  # pivots found in the core, and the next pivot row
+    for c in range(cols):
+        if r == rows:
+            break
+        col = a[r:, c] % p
+        hits = col.nonzero()[0]
+        if hits.size == 0:
             continue
-        piv = rank + int(pivots[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), -1, p)
-        a[rank] = (a[rank] * inv) % p
-        below = np.nonzero(a[rank + 1:, c])[0]
-        if below.size:
-            idx = below + rank + 1
-            a[idx] = (a[idx] - np.outer(a[idx, c], a[rank])) % p
-        rank += 1
-    return rank
+        if hits[0]:
+            a[[r, r + hits[0]], c:] = a[[r + hits[0], r], c:]
+            col[[0, hits[0]]] = col[[hits[0], 0]]
+        r += 1
+        below = hits[1:]  # positions in col of the nonzeros under the pivot
+        if below.size == 0:
+            continue
+        if pending == room:
+            a[r:, c + 1:] %= p
+            pending = 0
+        row = a[r - 1, c + 1:] % p * pow(int(col[0]), -1, p) % p
+        if 2 * below.size > rows - r:
+            a[r:, c + 1:] -= col[1:, None] * row
+        else:
+            a[r - 1 + below, c + 1:] -= col[below, None] * row
+        pending += 1
+    return rank + r
 
 
 # ---------------------------------------------------------------------------
@@ -317,37 +386,42 @@ def _pure_power_lengths(p: int, hyp: Poly, caps: Sequence[int],
         state = np.roll(state, 1, axis=0)
         state[0] = 0
         for ev, ea, c in tail:
-            state[ev, ea:] += c * top[:ca - ea]
-        state %= p
+            # reduced per term: entries < p and products < p^2 stay in int64
+            state[ev, ea:] = (state[ev, ea:] + c * top[:ca - ea]) % p
         if k >= cv:
             reductions.append(state)
 
-    def span(k: int) -> range:
-        """x_a-exponents of the monomials x_a^s x_b^(k-s) of A_k."""
-        return range(max(0, k - cb + 1), min(ca - 1, k) + 1)
+    # the nonzeros of the reductions: x_v^(c_v+i) mod h has coefficient
+    # nz_val at x_v^j x_a^e
+    stacked = np.array(reductions)
+    nz_i, nz_j, nz_e = np.nonzero(stacked)
+    nz_val = stacked[nz_i, nz_j, nz_e]
+    steps = np.arange(d)
+
+    def spans(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """[lo, hi): the x_a-exponents of the monomials x_a^s x_b^(k-s) of A_k."""
+        lo = np.maximum(0, k - cb + 1)
+        return lo, np.maximum(lo, np.minimum(ca, k + 1))
 
     def length(m: int) -> int:
         # rows: the basis of B_m = sum_j A_(m-j) x_v^j; columns: the
-        # A-multiples of x_v^(c_v+i) mod h landing in degree m
-        row_spans = [span(m - j) for j in range(d)]
-        col_spans = [span(m - cv - i) for i in range(d)]
-        nrows = sum(map(len, row_spans))
-        ncols = sum(map(len, col_spans))
+        # A-multiples x_a^t x_b^(m-c_v-i-t) of x_v^(c_v+i) mod h
+        row_lo, row_hi = spans(m - steps)
+        col_lo, col_hi = spans(m - cv - steps)
+        nrows = int((row_hi - row_lo).sum())
+        ncols = int((col_hi - col_lo).sum())
         if nrows == 0 or ncols == 0:
             return nrows
-        row_start = np.cumsum([0] + [len(r) for r in row_spans])
-        col_start = np.cumsum([0] + [len(c) for c in col_spans])
+        # the first row and column of each block, less its lowest exponent
+        row_base = np.cumsum(row_hi - row_lo) - row_hi
+        col_base = np.cumsum(col_hi - col_lo) - col_hi
+        # the shifts t for which nonzero (i, j, e) lands on a row: one run each
+        lo = np.maximum(col_lo[nz_i], row_lo[nz_j] - nz_e)
+        count = np.maximum(np.minimum(col_hi[nz_i], row_hi[nz_j] - nz_e) - lo, 0)
+        t = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
         matrix = np.zeros((nrows, ncols), dtype=np.int64)
-        for i, cs in enumerate(col_spans):
-            shifts = np.arange(cs.start, cs.stop)[:, None]
-            target = shifts + np.arange(ca)[None, :]  # x_a-exponent of each product
-            cols = np.broadcast_to(col_start[i] + shifts - cs.start, target.shape)
-            for j, rs in enumerate(row_spans):
-                keep = (target >= rs.start) & (target < rs.stop) & \
-                    (reductions[i][j] != 0)[None, :]
-                rows = row_start[j] + target - rs.start
-                matrix[rows[keep], cols[keep]] = \
-                    np.broadcast_to(reductions[i][j], target.shape)[keep]
+        matrix[t + np.repeat(row_base[nz_j] + nz_e, count),
+               t + np.repeat(col_base[nz_i], count)] = np.repeat(nz_val, count)
         return nrows - dense_rank_modp(matrix, p)
 
     return length
@@ -438,15 +512,17 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly],
     ("pure-power", "walk" or "dense"; see the module docstring) with
     ``length(m)``, the length of its degree-m piece.
 
-    Raises ValueError when p is not prime, q is not a power of p, a
-    polynomial is constant or not homogeneous, or a coefficient is 0 mod p:
-    the brackets rest on freshman's dream, the grading on homogeneous forms
+    Raises ValueError when p is not prime or not below 2^31, q is not a
+    power of p, a polynomial is constant or not homogeneous, or a coefficient
+    is 0 mod p: the brackets rest on freshman's dream, the rank kernel on
+    int64 arithmetic (``dense_rank_modp``), the grading on homogeneous forms
     of positive degree, and the path choice on the terms of h mod p.  The
     checks run once, before any path looks at a degree."""
     if num_vars is None:
         num_vars = _num_vars(hypersurface, generators)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    _check_prime_bound(p)
     if not _is_power_of(q, p):
         raise ValueError(f"q = {q} is not a power of p = {p}")
     for poly in ([hypersurface] if hypersurface is not None else []) + list(generators):

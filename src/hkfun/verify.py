@@ -154,6 +154,20 @@ def _case_scaling() -> VerifyResult:
                                "powers (g^3)^3 mod 3 and of I^[9] agree degree by degree")
 
 
+def _case_kunz_regular() -> VerifyResult:
+    """Kunz's theorem on the regular ring k[x, y, z]: l(S/J^[q]) = q^3 l(S/J)
+    for every m-primary J.  J has a binomial generator, so both sides take
+    the dense path, and no closed form is involved."""
+    p, q = 2, 4
+    texts = ("x^2", "x*y + z^2", "y^2", "z^3")
+    gens = [oracle.parse_polynomial(g, 3) for g in texts]
+    colength = oracle.colength_profile(p, None, gens, 1).total()
+    measured = oracle.colength_profile(p, None, gens, q).total()
+    return _result("kunz-regular-dense", Fraction(measured), Fraction(q ** 3 * colength),
+                   Fraction(0), detail=f"l(S/J^[{q}]) against {q}^3 l(S/J) = {q}^3*{colength} "
+                                       f"for J = ({', '.join(texts)}) mod {p}")
+
+
 def _case_volume_convergence() -> VerifyResult:
     """Lattice-count convergence at tolerance 2/q over random small boxes.
 
@@ -197,6 +211,7 @@ CASES: dict[str, Callable[[], VerifyResult]] = {
     "segre-quadric-f2-q8": _case_segre_quadric,
     "irregular-d5-oracle": _case_irregular_quintic,
     "scaling-quadric-cone": _case_scaling,
+    "kunz-regular-dense": _case_kunz_regular,
     "volume-convergence": _case_volume_convergence,
 }
 

@@ -35,6 +35,27 @@ def random_syzygy_spec(rng: random.Random) -> SyzygySpec:
                       hn_v=HNData(slopes, tuple(ranks)))
 
 
+def plain_rank_modp(matrix, p):
+    """Rank over F_p by plain gaussian elimination, one numpy row operation
+    per pivot and every entry reduced at every step: the slow cross-check of
+    ``oracle.dense_rank_modp``.  Exact for p < 2^31, where a product of two
+    reduced entries fits in int64."""
+    a = np.array(matrix, dtype=np.int64) % p
+    rank = 0
+    for c in range(a.shape[1]):
+        if rank == a.shape[0]:
+            break
+        nonzero = np.flatnonzero(a[rank:, c])
+        if nonzero.size == 0:
+            continue
+        a[[rank, rank + nonzero[0]]] = a[[rank + nonzero[0], rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), -1, p) % p
+        below = rank + 1 + np.flatnonzero(a[rank + 1:, c])
+        a[below] = (a[below] - np.outer(a[below, c], a[rank])) % p
+        rank += 1
+    return rank
+
+
 def brute_graded_length(p, hypersurface, generators, q, m, num_vars):
     """Definition-level graded length: dense elimination over F_p on the full
     multiplication matrix, written independently of the library paths."""
@@ -79,21 +100,7 @@ def brute_graded_length(p, hypersurface, generators, q, m, num_vars):
             matrix.append(col)
     if not matrix:
         return len(rows)
-    # plain gaussian elimination mod p, one numpy row operation per pivot
-    a = np.array(matrix, dtype=np.int64) % p
-    rank = 0
-    for c in range(a.shape[1]):
-        nonzero = np.flatnonzero(a[rank:, c])
-        if nonzero.size == 0:
-            continue
-        a[[rank, rank + nonzero[0]]] = a[[rank + nonzero[0], rank]]
-        a[rank] = a[rank] * pow(int(a[rank, c]), -1, p) % p
-        below = rank + 1 + np.flatnonzero(a[rank + 1:, c])
-        a[below] = (a[below] - np.outer(a[below, c], a[rank])) % p
-        rank += 1
-        if rank == a.shape[0]:
-            break
-    return len(rows) - rank
+    return len(rows) - plain_rank_modp(np.array(matrix), p)
 
 
 def combine_by_lookup(f, g, op):

@@ -60,11 +60,21 @@ def test_verify_case(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_kunz_case(capsys):
+    # Kunz on k[x, y, z]: l(S/J^[4]) = 4^3 * 7, on the dense path
+    code, out, _ = run_cli(capsys, "verify", "--case", "kunz-regular-dense")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert payload["measured"] == payload["target"] == "448"
+
+
 def test_verify_list(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0
     lines = out.splitlines()
     assert "fermat4-p17-q17" in lines
+    assert "kunz-regular-dense" in lines
     # the one case that fails on correct code says so, with where to read why
     marked = [line for line in lines if "fails by design" in line]
     assert len(marked) == 1
@@ -83,6 +93,16 @@ def test_oracle_profile_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "m,length"
     assert lines[1:] == ["0,1", "1,3", "2,5", "3,4"]
+
+
+def test_oracle_profile_at_largest_prime(capsys):
+    # 2^31 - 1 is the largest prime below the rank kernel's bound; the next
+    # prime is in INVALID_ORACLE_INPUT
+    code, out, _ = run_cli(capsys, "oracle", "--prime", "2147483647", "--q", "1",
+                           "--hypersurface", "x*y - z^2", "--vars", "3",
+                           "--gens", "x^2,y^2,z^2", "--op", "profile", "--format", "csv")
+    assert code == 0
+    assert out.strip().splitlines() == ["m,length", "0,1", "1,3", "2,2"]
 
 
 def test_samples_format(capsys):
@@ -309,6 +329,9 @@ INVALID_ORACLE_INPUT = [
     ("3", "3", "x*y - z^2", ("--gens", "1,x,y", "--format", "csv")),  # unit ideal
     ("5", "5", "x*y - z^2", ("--gens", "x,y", "--op", "fthreshold")),  # gens ignored
     ("7", "7", "x*y - z^2", ("--op", "ehk", "--precision", "-2")),  # negative precision
+    # a prime past the int64 bound of the rank kernel (p < 2^31)
+    ("4294967311", "1", "x*y - z^2", ("--gens", "x^7,y^7,z^7", "--op", "profile")),
+    ("2147483659", "1", "x*y - z^2", ("--gens", "x^7,y^7,z^7", "--op", "profile")),
 ]
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_graded_length
+from conftest import brute_graded_length, plain_rank_modp
 from hkfun import oracle, verify
 from hkfun.oracle import (
     OracleError,
@@ -40,6 +40,74 @@ def test_dense_rank_modp():
     assert dense_rank_modp(np.array([[1, 2], [2, 4]]), 3) == 1
     assert dense_rank_modp(np.array([[1, 0], [0, 1]]), 2) == 2
     assert dense_rank_modp(np.array([[2, 4], [1, 2]]), 2) == 1  # 2 = 0 mod 2
+    # rank 1 at p = 2^32 + 15, where the product of two reduced entries
+    # overflows int64: rejected, not counted as rank 2
+    p, r = 4294967311, 3000000000
+    with pytest.raises(ValueError, match="p < 2\\^31"):
+        dense_rank_modp(np.array([[r], [3 * r % p]]), p)
+
+
+RANK_PRIMES = [2, 3, 5, 101, 2**31 - 1]
+
+
+@st.composite
+def rank_matrices(draw):
+    """A matrix mod p, tall, wide or square with sides up to 40: sparse or
+    dense random fill, or a planted rank r as a product of n x r and r x m
+    mod p; then maybe zero rows, zero columns, and singleton columns that
+    share one row."""
+    p = draw(st.sampled_from(RANK_PRIMES))
+    short, long = sorted(draw(st.integers(0, 40)) for _ in range(2))
+    rows, cols = draw(st.sampled_from([(long, short), (short, long), (long, long)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sparse", "dense", "low-rank"]))
+    if kind == "low-rank":
+        r = draw(st.integers(0, min(rows, cols)))
+        left = rng.integers(0, p, (rows, r)).astype(object)
+        right = rng.integers(0, p, (r, cols)).astype(object)
+        a = np.array(np.dot(left, right) % p if r else np.zeros((rows, cols)), dtype=np.int64)
+    else:
+        fill = 0.05 if kind == "sparse" else 0.9
+        a = rng.integers(1, p, (rows, cols)) * (rng.random((rows, cols)) < fill)
+    if draw(st.booleans()):
+        a[rng.random(rows) < 0.2] = 0
+    if draw(st.booleans()):
+        a[:, rng.random(cols) < 0.2] = 0
+    if rows and draw(st.booleans()):
+        picked = rng.random(cols) < 0.3
+        a[:, picked] = 0
+        a[rng.integers(rows), picked] = rng.integers(1, p, int(picked.sum()))
+    return a, p
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(rank_matrices())
+# at p = 2^31 - 1 one unreduced step can take an entry to about 2^62, so the
+# kernel must reduce the block before every step: dense, large entries
+@example((np.random.default_rng(5).integers(2**31 - 40, 2**31 - 1, (30, 24)), 2**31 - 1))
+@example((np.zeros((0, 5), dtype=np.int64), 3))
+def test_dense_rank_modp_matches_plain_elimination(case):
+    a, p = case
+    before = a.copy()
+    assert dense_rank_modp(a, p) == plain_rank_modp(a, p)
+    assert np.array_equal(a, before)  # the caller's matrix is left alone
+
+
+def test_prime_bound_of_the_int64_kernel():
+    """At p = 2^31 - 1, the largest prime the int64 arithmetic holds, the
+    pure-power path agrees with the definition.  Every tail coefficient of h
+    is p - 1 after dividing by the lead, so each product in the reductions
+    is near 2^62 and two summed unreduced would overflow; the next prime is
+    rejected."""
+    p = 2**31 - 1
+    h = {(3, 0, 0): 1, (0, 3, 0): 1, (0, 2, 1): 1, (0, 1, 2): 1, (0, 0, 3): 1}
+    gens = [{(5, 0, 0): 1}, {(0, 4, 0): 1}, {(0, 0, 4): 1}]
+    path, length = quotient_lengths(p, h, gens, 1)
+    assert path == "pure-power"
+    lengths = [length(m) for m in range(12)]
+    assert lengths == [brute_graded_length(p, h, gens, 1, m, 3) for m in range(12)]
+    with pytest.raises(ValueError, match="p < 2\\^31"):
+        quotient_lengths(2147483659, h, gens, 1)
 
 
 def test_graded_piece_examples():
