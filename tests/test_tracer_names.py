@@ -10,17 +10,12 @@ from pathlib import Path
 LAYERS_FILE = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
-def _layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS_FILE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.LAYERS
-
-
 def test_every_traced_name_resolves_on_hkfun():
-    layers = _layers()
-    assert layers
-    for owner, attr, layer in layers:
-        assert owner.__module__.startswith("hkfun") if isinstance(owner, type) \
-            else owner.__name__.startswith("hkfun"), layer
-        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} ({layer})"
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS_FILE)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.LAYERS
+    for owner, attr, layer in layers.LAYERS:
+        name = owner.__module__ if isinstance(owner, type) else owner.__name__
+        assert name.startswith("hkfun"), layer
+        assert callable(getattr(owner, attr, None)), f"{name}.{attr} ({layer})"
