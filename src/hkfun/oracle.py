@@ -7,10 +7,30 @@ degree) of the hypersurface and of the q-th powers of the generators,
 expressed in the monomial basis; the graded length is dim - rank.
 
 ``quotient_lengths`` sets up one quotient R/I^[q] once: it checks the input,
-brackets the generators, picks one of three rank paths and does that path's
+brackets the generators, picks one of four rank paths and does that path's
 per-quotient work.  The ``length(m)`` it returns does only the work of
-degree m, so a sweep or a bisection pays for the setup once.
+degree m, so a sweep or a bisection pays for the setup once.  A mixed
+monomial generator that a pure-power generator divides adds nothing to the
+ideal, so it is dropped before the path is chosen.
 
+- ``"diagonal"``: three variables, every generator a pure power (caps c_x,
+  c_y, c_z) and h = c_1 x^d + c_2 y^d + c_3 z^d, the Fermat family.  Over
+  k[X, Y, Z] with X = x^d, Y = y^d, Z = z^d, the ring S is free on the
+  x^i y^j z^r with i, j, r < d, and h and the ideal (x^c_x, y^c_y, z^c_z)
+  respect that basis: x^(d*alpha + i) lies in (x^c_x) exactly when
+  alpha >= a_i = ceil((c_x - i)/d), and likewise b_j from c_y and k_r from
+  c_z.  So the quotient is the direct sum over (i, j, r) of
+  k[X,Y,Z]/(X^a_i, Y^b_j, Z^k_r, c_1 X + c_2 Y + c_3 Z), shifted to degree
+  i + j + r.  Solving h for X leaves k[Y,Z]/(Y^b_j, Z^k_r, (c_2 Y + c_3 Z)^a_i),
+  and Y -> Y/c_2, Z -> Z/c_3 is a graded automorphism that fixes the ideals
+  (Y^b) and (Z^k) and sends the third generator to a unit times (Y + Z)^a_i,
+  so no length changes.  The degree-t piece of such a block is a rank of a
+  Toeplitz matrix with entries binom(a, s - u) mod p and at most
+  min(b, k) rows: the two-variable blocks of Han (thesis, Brandeis 1991) and
+  Han-Monsky (Math. Z. 1993).  Degree m of the quotient sums the d^2 blocks
+  with i + j + r = m mod d at t = (m - i - j - r)/d.  There are at most 8
+  distinct (a, b, k), so ``length`` keeps each block length it has found
+  for the life of the quotient.
 - ``"pure-power"``: three variables, every generator a pure power (caps
   x^c_x, y^c_y, z^c_z) and h containing a pure power x_v^d.  Then h is monic
   of degree d in x_v over A = k[x_a, x_b]/(x_a^c_a, x_b^c_b), so A[x_v]/(h) is
@@ -41,7 +61,7 @@ degree m, so a sweep or a bisection pays for the setup once.
   Only the small residual system ever reaches dense elimination.
 - ``"dense"``: everything else, capped in size.
 
-All three paths end in one rank kernel, ``dense_rank_modp``.  It first peels
+All four paths end in one rank kernel, ``dense_rank_modp``.  It first peels
 singletons: a row or column with one nonzero is a pivot, and zero rows and
 columns drop out, pass after pass.  The core left is eliminated in int64
 with delayed reduction, after the FFLAS/FFPACK kernels of Dumas, Giorgi and
@@ -266,7 +286,8 @@ def dense_rank_modp(matrix: np.ndarray, p: int) -> int:
 
 def _caps_and_mixed(exps: Sequence[tuple[int, ...]], num_vars: int):
     """Smallest pure-power exponent per variable (None where there is none)
-    and the exponents of the remaining, mixed monomials."""
+    and the exponents of the mixed monomials that no pure power divides; the
+    others add nothing to the ideal."""
     caps: list[Optional[int]] = [None] * num_vars
     mixed = []
     for e in exps:
@@ -277,6 +298,8 @@ def _caps_and_mixed(exps: Sequence[tuple[int, ...]], num_vars: int):
                 caps[i] = e[i]
         else:
             mixed.append(e)
+    mixed = [e for e in mixed
+             if not any(c is not None and x >= c for x, c in zip(e, caps))]
     return caps, mixed
 
 
@@ -427,6 +450,45 @@ def _pure_power_lengths(p: int, hyp: Poly, caps: Sequence[int],
     return length
 
 
+def _diagonal_lengths(p: int, caps: Sequence[int], d: int) -> Callable[[int], int]:
+    # a[i] = ceil((c_x - i)/d) >= 0, the least alpha with x^(d*alpha + i) in
+    # the ideal, and likewise b[j] from c_y and k[r] from c_z
+    a, b, k = ([-((i - c) // d) for i in range(d)] for c in caps)
+    binomials = {ea: np.array([math.comb(ea, e) % p for e in range(ea + 1)], dtype=np.int64)
+                 for ea in set(a)}
+    blocks: dict[tuple[int, int, int, int], int] = {}
+
+    def block_length(ea: int, eb: int, ek: int, t: int) -> int:
+        """Length of the degree-t piece of k[Y,Z]/(Y^eb, Z^ek, (Y+Z)^ea)."""
+        # rows: Y^s Z^(t-s) with s < eb, t-s < ek; columns: the multiples
+        # Y^u Z^(t-ea-u) (Y+Z)^ea, with entry binom(ea, s-u) in row s
+        row_lo, row_hi = max(0, t - ek + 1), min(eb, t + 1)
+        col_lo, col_hi = max(0, t - ea - ek + 1), min(eb, t - ea + 1)
+        nrows = max(0, row_hi - row_lo)
+        if nrows == 0 or col_hi <= col_lo:
+            return nrows
+        diff = np.arange(row_lo, row_hi)[:, None] - np.arange(col_lo, col_hi)
+        inside = (diff >= 0) & (diff <= ea)
+        matrix = np.zeros(diff.shape, dtype=np.int64)
+        matrix[inside] = binomials[ea][diff[inside]]
+        return nrows - dense_rank_modp(matrix, p)
+
+    def length(m: int) -> int:
+        total = 0
+        for i in range(d):
+            for j in range(d):
+                r = (m - i - j) % d
+                t = (m - i - j - r) // d
+                if t >= 0:
+                    key = (a[i], b[j], k[r], t)
+                    if key not in blocks:
+                        blocks[key] = block_length(*key)
+                    total += blocks[key]
+        return total
+
+    return length
+
+
 def _point_off_curve(hyp: Poly, p: int) -> Optional[tuple[int, tuple[int, ...]]]:
     """(i, P) for the first point P of P^2(F_p) with h(P) != 0 mod p, written
     with first nonzero coordinate P_i = 1; None when h vanishes on all of
@@ -509,8 +571,12 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly],
                      generators: Sequence[Poly], q: int,
                      num_vars: Optional[int] = None) -> tuple[str, Callable[[int], int]]:
     """Set up S/(h, g_1^q, ..., g_t^q) once and return its rank path
-    ("pure-power", "walk" or "dense"; see the module docstring) with
-    ``length(m)``, the length of its degree-m piece.
+    ("diagonal", "pure-power", "walk" or "dense"; see the module docstring)
+    with ``length(m)``, the length of its degree-m piece.  The diagonal path
+    splits a Fermat-type quotient into two-variable blocks, whose ranks do
+    not change when y^d and z^d are rescaled; the pure-power path reduces by
+    the pure power of h.  Mixed monomial generators that a pure-power
+    generator divides are dropped first.
 
     Raises ValueError when p is not prime or not below 2^31, q is not a
     power of p, a polynomial is constant or not homogeneous, or a coefficient
@@ -535,12 +601,15 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly],
     if any(len(g) != 1 for g in gens_q):
         return "dense", _dense_lengths(p, hyp, gens_q, num_vars)
     if num_vars == 3 and hyp is not None:
-        # every generator a pure power and h containing a pure power x_v^d;
-        # v is the variable with the largest cap when there are several
+        # every generator a pure power, or a mixed monomial that one divides
         caps, mixed = _caps_and_mixed([next(iter(g)) for g in gens_q], 3)
         d = poly_degree(hyp)
         pure = [v for v in range(3) if tuple(d if i == v else 0 for i in range(3)) in hyp]
         if not mixed and None not in caps:
+            if len(pure) == 3 == len(hyp):  # h = c_1 x^d + c_2 y^d + c_3 z^d
+                return "diagonal", _diagonal_lengths(p, caps, d)
+            # h containing a pure power x_v^d; v is the variable with the
+            # largest cap when there are several
             if pure:
                 v = max(pure, key=lambda v: caps[v])
                 return "pure-power", _pure_power_lengths(p, hyp, caps, v)

@@ -74,6 +74,7 @@ def test_verify_list(capsys):
     assert code == 0
     lines = out.splitlines()
     assert "fermat4-p17-q17" in lines
+    assert "fermat4-p29-q841" in lines
     assert "kunz-regular-dense" in lines
     # the one case that fails on correct code says so, with where to read why
     marked = [line for line in lines if "fails by design" in line]
@@ -83,6 +84,14 @@ def test_verify_list(capsys):
     code, out, _ = run_cli(capsys, "verify", "--case", "volume-convergence")
     assert code == 1
     assert verify.FAILS_BY_DESIGN["volume-convergence"] in json.loads(out)["detail"]
+
+
+def test_verify_exact_top_at_p_squared(capsys):
+    # the quartic's oracle top at q = 29^2 is 841 * 44/29 + 1
+    code, out, _ = run_cli(capsys, "verify", "--case", "fermat4-p29-q841")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["measured"], payload["target"]) == ("1277/841", "44/29")
 
 
 def test_oracle_profile_csv(capsys):
@@ -103,6 +112,19 @@ def test_oracle_profile_at_largest_prime(capsys):
                            "--gens", "x^2,y^2,z^2", "--op", "profile", "--format", "csv")
     assert code == 0
     assert out.strip().splitlines() == ["m,length", "0,1", "1,3", "2,2"]
+
+
+def test_redundant_mixed_generator_leaves_the_profile(capsys):
+    # (xy)^[5] lies in (x^5): both ideals are (x^5, y^5, z^5)
+    profiles = []
+    for gens in ("x,y,z,x*y", "x,y,z"):
+        code, out, _ = run_cli(capsys, "oracle", "--prime", "5", "--q", "5",
+                               "--fermat", "4", "--gens", gens, "--op", "profile",
+                               "--format", "csv")
+        assert code == 0
+        profiles.append(out)
+    assert profiles[0] == profiles[1]
+    assert profiles[0].splitlines()[0] == "m,length"
 
 
 def test_samples_format(capsys):

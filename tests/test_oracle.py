@@ -167,9 +167,10 @@ def test_one_setup_per_quotient(monkeypatch):
         return bracket(poly, q, p)
 
     monkeypatch.setattr(oracle, "frobenius_power", counted)
-    # the pure-power path, the walk with and without h, and the dense path
-    cases = [(QUADRIC_CONE, XYZ_VARS), (trinomial_poly(cyclic(4)), variable_powers(3, 2)),
-             (None, XY_VARS),
+    # the pure-power and diagonal paths, the walk with and without h, and
+    # the dense path
+    cases = [(QUADRIC_CONE, XYZ_VARS), (trinomial_poly(fermat(4)), XYZ_VARS),
+             (trinomial_poly(cyclic(4)), variable_powers(3, 2)), (None, XY_VARS),
              (trinomial_poly(fermat(4)), [{(1, 0, 0): 1, (0, 1, 0): 1}] + XYZ_VARS[1:])]
     for sweep in (colength_profile, top_nonzero_degree):
         for h, gens in cases:
@@ -358,6 +359,11 @@ def pure_power_cases(draw):
     return p, q, tuple(ns), h
 
 
+def _is_diagonal(h):
+    """h = c_1 x^d + c_2 y^d + c_3 z^d, every c_i nonzero."""
+    return len(h) == 3 and all(sum(1 for x in e if x) == 1 for e in h)
+
+
 @settings(max_examples=20, deadline=None, database=None, derandomize=True)
 @given(pure_power_cases())
 def test_pure_power_path_matches_walk_and_definition(case):
@@ -366,11 +372,50 @@ def test_pure_power_path_matches_walk_and_definition(case):
     hyp = normalize_poly(h, p)
     gens_q = [oracle.frobenius_power(g, q, p) for g in gens]
     path, length = quotient_lengths(p, h, gens, q)
-    assert path == "pure-power"
+    assert path == ("diagonal" if _is_diagonal(h) else "pure-power")
     walk = oracle._walk_lengths(p, hyp, gens_q, 3)
     for m in range(sum(ns) * q + poly_degree(h) + 2):
         fast = length(m)
         assert fast == walk(m)
+        assert fast == brute_graded_length(p, h, gens, q, m, 3)
+
+
+@st.composite
+def diagonal_cases(draw):
+    """c_1 x^d + c_2 y^d + c_3 z^d with random nonzero c_i over caps
+    (n_x, n_y, n_z) * q drawn independently, kept small enough for the
+    definition-level elimination.  p <= d is allowed, where p divides some
+    of the binomials of the blocks."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    q = draw(st.sampled_from([x for x in (p, p * p) if 3 * x <= 21]))
+    budget = max(4, 16 // q)  # n_x + n_y + n_z: unequal caps at every p
+    ns = []
+    for left in (2, 1, 0):
+        ns.append(draw(st.integers(1, min(3, budget - sum(ns) - left))))
+    d = draw(st.integers(1, 6))
+    h = {tuple(d if i == v else 0 for i in range(3)): draw(st.integers(1, p - 1))
+         for v in range(3)}
+    return p, q, tuple(ns), h
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(diagonal_cases())
+@example((2, 2, (1, 2, 3), {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}))
+@example((3, 3, (2, 1, 1), {(6, 0, 0): 2, (0, 6, 0): 1, (0, 0, 6): 2}))
+@example((5, 5, (1, 1, 1), {(5, 0, 0): 3, (0, 5, 0): 4, (0, 0, 5): 1}))
+@example((7, 7, (1, 2, 1), {(3, 0, 0): 6, (0, 3, 0): 1, (0, 0, 3): 5}))
+def test_diagonal_path_matches_pure_power_and_definition(case):
+    """The block ranks of the diagonal path against the pure-power path,
+    its independent slow cross-check, and the definition."""
+    p, q, ns, h = case
+    gens = [{tuple(n if k == i else 0 for k in range(3)): 1} for i, n in enumerate(ns)]
+    path, length = quotient_lengths(p, h, gens, q)
+    assert path == "diagonal"
+    caps = [n * q for n in ns]
+    slow = oracle._pure_power_lengths(p, normalize_poly(h, p), caps, 0)
+    for m in range(sum(caps) + poly_degree(h) + 2):
+        fast = length(m)
+        assert fast == slow(m)
         assert fast == brute_graded_length(p, h, gens, q, m, 3)
 
 
@@ -379,10 +424,15 @@ def test_length_path_routes():
         return quotient_lengths(3, h, gens, 3, num_vars)[0]
 
     box = XYZ_VARS
-    for h in (fermat(4), fermat(5), fermat(6), TypeII(4, 1, 2, 1, 1, 3),
-              TypeI(0, 5, 0, 5, 3, 2)):
+    for h in (fermat(4), fermat(5), fermat(6)):
+        assert length_path(trinomial_poly(h), box, 3) == "diagonal"
+    for h in (TypeII(4, 1, 2, 1, 1, 3), TypeI(0, 5, 0, 5, 3, 2)):
         assert length_path(trinomial_poly(h), box, 3) == "pure-power"
     assert length_path(QUADRIC_CONE, box, 3) == "pure-power"
+    # a Fermat curve with one term more, and x^d + y^d, are not diagonal
+    fermat4 = trinomial_poly(fermat(4))
+    assert length_path({**fermat4, (2, 1, 1): 1}, box, 3) == "pure-power"
+    assert length_path({(4, 0, 0): 1, (0, 4, 0): 1}, box, 3) == "pure-power"
     # no pure power in h: a shear over F_3 gives it one
     for h in (cyclic(4), cyclic(5), cyclic(6), TypeI(1, 3, 1, 3, 3, 1)):
         assert length_path(trinomial_poly(h), box, 3) == "pure-power"
@@ -392,8 +442,10 @@ def test_length_path_routes():
     no_point = {(2, 1, 0): 1, (1, 2, 0): 1, (0, 2, 1): 1, (0, 1, 2): 1}
     assert quotient_lengths(2, no_point, box, 2)[0] == "walk"
     assert length_path(SEGRE_QUADRIC, variable_powers(4, 1), 4) == "walk"
-    fermat4 = trinomial_poly(fermat(4))
-    assert length_path(fermat4, box + [{(1, 1, 0): 1}], 3) == "walk"
+    # (xy)^[3] lies in (x^3): the ideal is the box, so the route is too
+    assert length_path(fermat4, box + [{(1, 1, 0): 1}], 3) == "diagonal"
+    # (xy)^[3] is not in (x^6, y^6, z^6)
+    assert length_path(fermat4, variable_powers(3, 2) + [{(1, 1, 0): 1}], 3) == "walk"
     non_monomial = [{(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}]
     assert length_path(fermat4, non_monomial, 3) == "dense"
 
