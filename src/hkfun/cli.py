@@ -262,13 +262,13 @@ def _oracle_ideal(args, n: int):
             raise ValueError("a curve flag fixes 3 variables; --vars is for --hypersurface")
         hyp = oracle.trinomial_poly(curve)
         nv = 3
-    elif args.hypersurface:
+    elif args.hypersurface is not None:
         nv = 3 if args.vars is None else args.vars
         hyp = oracle.parse_polynomial(args.hypersurface, nv)
     else:
         hyp = None
         nv = 2 if args.vars is None else args.vars
-    if args.gens:
+    if args.gens is not None:
         gens = [oracle.parse_polynomial(g, nv) for g in args.gens.split(",")]
     else:
         gens = oracle.variable_powers(nv, n)
@@ -278,7 +278,7 @@ def _oracle_ideal(args, n: int):
 def _cmd_oracle(args) -> int:
     if args.x is not None and args.op != "fn":
         raise ValueError(f"--x is read only by --op fn, not --op {args.op}")
-    if args.gens and args.n is not None:
+    if args.gens is not None and args.n is not None:
         raise ValueError("--n is read only without --gens")
     _reject_unread_precision(args, args.op in ("ehk", "fthreshold"),
                              f"by --op ehk and --op fthreshold, not --op {args.op}")
@@ -303,7 +303,7 @@ def _cmd_oracle(args) -> int:
     elif args.op == "fthreshold":
         if hyp is None:
             raise ValueError("fthreshold needs a hypersurface")
-        if args.gens:
+        if args.gens is not None:
             raise ValueError("fthreshold takes the coordinate powers of --n, not --gens")
         value = oracle.fthreshold_estimate(p, hyp, n, q)
         _emit({**echo, "fthreshold_estimate": fraction_str(value),

@@ -70,6 +70,12 @@ row mod p, subtracts their outer product from the trailing block unreduced,
 and the block is reduced only when one more step could carry an entry past
 2^62.  A step moves an entry by less than (p - 1)^2, so p must be below
 2^31, which ``quotient_lengths`` checks.  No float is involved.
+
+``monomial_alpha`` is the support invariant of a monomial ideal J of the
+polynomial ring S in n variables: the top nonzero degree of S/J, which
+``top_nonzero_degree`` finds on the walk, plus n.  Polynomials are
+multiplied mod p in one place, ``_poly_mul``; the literal powers of
+``scaling_check`` and the shear of the pure-power path are built from it.
 """
 
 from __future__ import annotations
@@ -137,6 +143,26 @@ def frobenius_power(poly: Poly, q: int, p: int) -> dict[tuple[int, ...], int]:
     return {tuple(x * q for x in e): c for e, c in normalize_poly(poly, p).items()}
 
 
+def _poly_mul(f: Poly, g: Poly, p: int) -> dict[tuple[int, ...], int]:
+    """f*g mod p, without zero terms."""
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in f.items():
+        for e2, c2 in g.items():
+            s = tuple(a + b for a, b in zip(e, e2))
+            out[s] = (out.get(s, 0) + c * c2) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def _literal_power(poly: Poly, k: int, p: int) -> dict[tuple[int, ...], int]:
+    """poly^k mod p by k polynomial multiplications, without freshman's
+    dream."""
+    poly = normalize_poly(poly, p)
+    power = {(0,) * len(next(iter(poly))): 1}
+    for _ in range(k):
+        power = _poly_mul(power, poly, p)
+    return power
+
+
 def variable_powers(num_vars: int, n: int) -> list[dict[tuple[int, ...], int]]:
     """Generators x_i^n of the n-th power-coordinate ideal."""
     gens = []
@@ -162,11 +188,15 @@ def parse_polynomial(text: str, num_vars: int) -> dict[tuple[int, ...], int]:
     cleaned = text.replace(" ", "").replace("**", "^")
     if not cleaned:
         raise ValueError("empty polynomial")
-    terms = re.findall(r"[+-]?[^+-]+", cleaned)
+    # each term keeps its one sign; a sign with no term after it is left
+    # with an empty body, which is malformed
+    terms = re.split(r"(?=[+-])", cleaned)
+    if not terms[0]:
+        del terms[0]  # the empty piece before a leading sign
     out: dict[tuple[int, ...], int] = {}
     for term in terms:
         sign = -1 if term.startswith("-") else 1
-        body = term.lstrip("+-")
+        body = term[1:] if term[0] in "+-" else term
         coeff = 1
         exps = [0] * num_vars
         for factor in body.split("*"):
@@ -181,7 +211,10 @@ def parse_polynomial(text: str, num_vars: int) -> dict[tuple[int, ...], int]:
             exps[_VAR_NAMES.index(m.group(1))] += int(m.group(2) or 1)
         key = tuple(exps)
         out[key] = out.get(key, 0) + sign * coeff
-    return {e: c for e, c in out.items() if c}
+    out = {e: c for e, c in out.items() if c}
+    if not out:
+        raise ValueError(f"polynomial {text!r} is zero")
+    return out
 
 
 def monomials_of_degree(num_vars: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -504,26 +537,16 @@ def _point_off_curve(hyp: Poly, p: int) -> Optional[tuple[int, tuple[int, ...]]]
 
 
 def _shear(hyp: Poly, p: int, i: int, point: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """h after x_j -> x_j + P_j x_i for every j != i; its x_i^d coefficient
-    is h(P)."""
+    """h after x_j -> x_j + P_j x_i for every j != i, the sum of the
+    c x_i^e_i prod_j (x_j + P_j x_i)^e_j; its x_i^d coefficient is h(P)."""
+    unit = [tuple(int(k == j) for k in range(3)) for j in range(3)]
+    images = [{unit[j]: 1} if j == i else {unit[j]: 1, unit[i]: point[j]} for j in range(3)]
     out: dict[tuple[int, ...], int] = {}
     for e, c in hyp.items():
-        terms = {e: c}
-        for j in range(3):
-            if j == i or not point[j] or not e[j]:
-                continue
-            expanded: dict[tuple[int, ...], int] = {}
-            for f, cf in terms.items():
-                # the terms of (x_j + P_j x_i)^e_j with k factors P_j x_i
-                for k in range(e[j] + 1):
-                    g = list(f)
-                    g[j] -= k
-                    g[i] += k
-                    g = tuple(g)
-                    expanded[g] = (expanded.get(g, 0)
-                                   + cf * math.comb(e[j], k) * pow(point[j], k, p)) % p
-            terms = expanded
-        for f, cf in terms.items():
+        term = {(0, 0, 0): c}
+        for image, k in zip(images, e):
+            term = _poly_mul(term, _literal_power(image, k, p), p)
+        for f, cf in term.items():
             out[f] = (out.get(f, 0) + cf) % p
     return {f: c for f, c in out.items() if c}
 
@@ -730,8 +753,9 @@ def fthreshold_estimate(p: int, hypersurface: Poly, n: int, q: int) -> Fraction:
 
 
 def monomial_alpha(num_vars: int, generators: Sequence[Poly]) -> int:
-    """max{s : some degree-s monomial lies outside the ideal} + num_vars, for
-    a finite-colength monomial ideal in a polynomial ring of dimension >= 2."""
+    """The top nonzero degree of S/J plus num_vars, for a finite-colength
+    monomial ideal J in a polynomial ring S of dimension >= 2.  Monomial
+    lengths do not depend on p, so they are taken at p = 2."""
     if num_vars < 2:
         raise ValueError("the support formula needs dimension >= 2")
     exps = []
@@ -743,35 +767,12 @@ def monomial_alpha(num_vars: int, generators: Sequence[Poly]) -> int:
     if None in caps:
         raise ValueError("not finite colength: some variable has no pure power "
                          "among the generators")
-
-    def divides(a, b):
-        return all(x <= y for x, y in zip(a, b))
-
-    best = 0
-    for e in product(*(range(c) for c in caps)):
-        if not any(divides(g, e) for g in exps):
-            best = max(best, sum(e))
-    return best + num_vars
-
-
-def _literal_power(poly: Poly, k: int, p: int) -> dict[tuple[int, ...], int]:
-    """poly^k mod p by k - 1 polynomial multiplications, without freshman's
-    dream."""
-    poly = normalize_poly(poly, p)
-    power = poly
-    for _ in range(k - 1):
-        product_terms: dict[tuple[int, ...], int] = {}
-        for e, c in power.items():
-            for f, cf in poly.items():
-                g = tuple(a + b for a, b in zip(e, f))
-                product_terms[g] = (product_terms.get(g, 0) + c * cf) % p
-        power = {e: c for e, c in product_terms.items() if c}
-    return power
+    return top_nonzero_degree(2, None, [{e: 1} for e in exps], 1) + num_vars
 
 
 def scaling_check(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
-                  q0: int, q: int, num_points: int = 10) -> bool:
-    """Exact check of the Frobenius brackets: on a sample grid of degrees,
+                  q0: int, q: int) -> bool:
+    """Exact check of the Frobenius brackets: on a grid of ten degrees,
     the colengths of the ideal of the literal powers (g^q0)^q, multiplied out
     mod p, agree with those of I^[q0*q], which ``frobenius_power`` brackets
     by freshman's dream."""
@@ -779,4 +780,4 @@ def scaling_check(p: int, hypersurface: Optional[Poly], generators: Sequence[Pol
     top = _sweep_bound(hypersurface, generators, q0 * q)
     _, lhs = quotient_lengths(p, hypersurface, powers, 1)
     _, rhs = quotient_lengths(p, hypersurface, generators, q0 * q)
-    return all(lhs(m) == rhs(m) for m in ((top * i) // num_points for i in range(num_points)))
+    return all(lhs(m) == rhs(m) for m in ((top * i) // 10 for i in range(10)))

@@ -104,7 +104,7 @@ def _case_quadric_thresholds() -> VerifyResult:
     worst_gap = Fraction(0)
     details = []
     passed = True
-    for q in (3, 9, 27):
+    for q in (3, 9, 27):  # the last estimate, at q = 27, is the one reported
         measured = oracle.fthreshold_estimate(3, QUADRIC_CONE, 1, q)
         gap = abs(measured - target)
         worst_gap = max(worst_gap, gap)
@@ -113,7 +113,7 @@ def _case_quadric_thresholds() -> VerifyResult:
         details.append(f"q={q}: {fraction_str(measured)} (gap {fraction_str(gap)}, "
                        f"tol {fraction_str(Fraction(3, q))})")
     return VerifyResult(name="quadric-cone-f3", passed=passed,
-                        measured=details[-1].split()[1], target=fraction_str(target),
+                        measured=fraction_str(measured), target=fraction_str(target),
                         tolerance="3/q", gap=fraction_str(worst_gap),
                         detail="; ".join(details))
 

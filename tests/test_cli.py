@@ -201,11 +201,18 @@ ORACLE_EHK = ("oracle", "--prime", "5", "--q", "5", "--op", "ehk")
      "--precision is read only with --format json"),
     (("trinomial", "--fermat", "4", "--prime", "29", "--format", "csv", "--precision", "3"),
      "--precision is read only with --format json"),
+    (("oracle", "--prime", "3", "--q", "3", "--gens", ""), "empty polynomial"),
+    (("oracle", "--prime", "3", "--q", "3", "--gens", "", "--n", "2"),
+     "--n is read only without --gens"),
+    (ORACLE_EHK + ("--hypersurface", "x*y - x*y + z^2 - z^2"),
+     "polynomial 'x*y - x*y + z^2 - z^2' is zero"),
+    (ORACLE_EHK + ("--hypersurface", "x^2+x*y-+y^2"), "malformed term '-'"),
 ], ids=["table-prime-4", "samples-0", "samples-negative", "samples-1",
         "precision-trinomial", "x-without-fn", "vars-with-curve", "vars-0", "vars-negative",
         "mult-with-in", "mult-with-left", "n-with-gens", "precision-with-table",
         "precision-density-json", "precision-density-csv", "precision-oracle-profile",
-        "precision-oracle-fn", "precision-oracle-csv", "precision-trinomial-csv"])
+        "precision-oracle-fn", "precision-oracle-csv", "precision-trinomial-csv",
+        "gens-empty", "n-with-empty-gens", "hypersurface-zero", "sign-without-term"])
 def test_invalid_option_is_one_line_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -354,6 +361,13 @@ INVALID_ORACLE_INPUT = [
     # a prime past the int64 bound of the rank kernel (p < 2^31)
     ("4294967311", "1", "x*y - z^2", ("--gens", "x^7,y^7,z^7", "--op", "profile")),
     ("2147483659", "1", "x*y - z^2", ("--gens", "x^7,y^7,z^7", "--op", "profile")),
+    # a sign with no term after it, read before as if it were absent
+    ("3", "9", "x^2+x*y-+y^2", ("--op", "ehk")),
+    ("5", "5", "x*y--z^2", FTHRESHOLD),
+    ("5", "25", "x*y - z^2-", FTHRESHOLD),
+    # an empty --gens or --hypersurface, read before as if it were not given
+    ("2", "2", "x*y - z^2", ("--gens", "")),
+    ("2", "4", "", ("--gens", "x,y,z")),
 ]
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -327,8 +329,17 @@ def test_parse_polynomial():
     assert parse_polynomial("x*y - z^2", 3) == {(1, 1, 0): 1, (0, 0, 2): -1}
     assert parse_polynomial("x^4+y^4+z^4", 3) == {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}
     assert parse_polynomial("3*x^2*w", 4) == {(2, 0, 0, 1): 3}
+    assert parse_polynomial("-x^2+x*y-y^2", 2) == {(2, 0): -1, (1, 1): 1, (0, 2): -1}
+    assert parse_polynomial("+x - 2*x", 2) == {(1, 0): -1}
     with pytest.raises(ValueError):
         parse_polynomial("x + q", 3)
+    # one sign per term: a sign with no term after it is malformed
+    for text in ("x--y", "x-+y", "x-", "+", "-x+"):
+        with pytest.raises(ValueError, match="malformed term"):
+            parse_polynomial(text, 2)
+    for text in ("x - x", "0*x", "x*y - y*x", "0"):
+        with pytest.raises(ValueError, match=re.escape(f"polynomial {text!r} is zero")):
+            parse_polynomial(text, 2)
 
 
 def test_determinism():
@@ -494,6 +505,44 @@ def test_shear_route_matches_walk_and_definition(case):
         fast = length(m)
         assert fast == walk(m)
         assert fast == brute_graded_length(p, h, gens, q, m, 3)
+
+
+def _value(poly, x, p):
+    return sum(c * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2] for e, c in poly.items()) % p
+
+
+@st.composite
+def shear_cases(draw):
+    """A form h in three variables with coefficients nonzero mod p, of any
+    degree against p, with an index i and a point P of F_p^3 with P_i = 1."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(1, 7))
+    monomials = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    terms = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=6, unique=True))
+    h = {e: draw(st.integers(1, p - 1)) for e in terms}
+    i = draw(st.integers(0, 2))
+    point = tuple(1 if j == i else draw(st.integers(0, p - 1)) for j in range(3))
+    return p, h, i, point
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(shear_cases())
+@example((2, {(1, 1, 0): 1, (0, 1, 1): 1}, 0, (1, 1, 1)))  # h(P) = 0: no x^2 term
+@example((7, {(0, 0, 7): 3}, 2, (4, 0, 1)))  # x_i alone: nothing moves
+def test_shear_is_the_substitution(case):
+    """The sheared h is h(g(Q)) as a function on F_p^3, with g the map
+    x_j -> x_j + P_j x_i (j != i); its x_i^d coefficient is h(P); and the
+    inverse shear, by -P_j, gives h back as a polynomial."""
+    p, h, i, point = case
+    d = poly_degree(h)
+    sheared = oracle._shear(h, p, i, point)
+    assert all(sum(e) == d and 0 < c < p for e, c in sheared.items())
+    for q in itertools.product(range(p), repeat=3):
+        image = tuple(x if j == i else x + point[j] * q[i] for j, x in enumerate(q))
+        assert _value(sheared, q, p) == _value(h, image, p)
+    assert sheared.get(tuple(d if j == i else 0 for j in range(3)), 0) == _value(h, point, p)
+    back = tuple(x if j == i else -x % p for j, x in enumerate(point))
+    assert oracle._shear(sheared, p, i, back) == h
 
 
 @st.composite
