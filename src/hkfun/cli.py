@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     _curve_options(p_ora, required=False).add_argument(
         "--hypersurface", help="e.g. 'x*y - z^2'")
     p_ora.add_argument("--vars", type=int, help="number of variables (2-4)")
-    p_ora.add_argument("--gens", help="comma-separated monomial generators")
+    p_ora.add_argument("--gens", help="comma-separated generators")
     p_ora.add_argument("--op", choices=("profile", "ehk", "fthreshold", "fn"),
                        default="profile")
     p_ora.add_argument("--x", help="sample point for op=fn")

@@ -7,7 +7,7 @@ degree) of the hypersurface and of the q-th powers of the generators,
 expressed in the monomial basis; the graded length is dim - rank.
 
 ``quotient_lengths`` sets up one quotient R/I^[q] once: it checks the input,
-brackets the generators, picks one of four rank paths and does that path's
+brackets the generators, picks one of three rank paths and does that path's
 per-quotient work.  The ``length(m)`` it returns does only the work of
 degree m, so a sweep or a bisection pays for the setup once.  A mixed
 monomial generator that a pure-power generator divides adds nothing to the
@@ -52,16 +52,19 @@ ideal, so it is dropped before the path is chosen.
   (j != i) makes h(P) the coefficient of x_i^d.  Such a point exists when
   p > d: a nonzero form of partial degrees below p does not vanish on all
   of F_p^3.  A curve through every point of P^2(F_p) takes the walk.
-- ``"walk"``: every other case where every generator is a monomial.  The
-  quotient by the generator columns is a box of standard monomials and the
-  hypersurface columns are eliminated structurally: a column whose
-  lex-largest entry stays inside the box is already a pivot, and the few
-  columns whose lead falls outside reduce by walking down the lattice (each
-  step strictly decreases the lex-largest entry, so the walk terminates).
-  Only the small residual system ever reaches dense elimination.
-- ``"dense"``: everything else, capped in size.
+- ``"walk"``: every other case.  The monomial generators cut out a box of
+  standard monomials.  The hypersurface columns are eliminated
+  structurally: a column whose lex-largest entry stays inside the box is
+  already a pivot, and the few columns whose lead falls outside reduce by
+  walking down the lattice (each step strictly decreases the lex-largest
+  entry, so the walk terminates).  Each multiple mu*g of a non-monomial
+  generator g, with mu outside the box's ideal, is cut to the box and
+  reduced by the same walk.  The structural pivots have distinct leads, so
+  the rank is their number plus the rank of the reduced residual columns,
+  whichever polynomial a column came from.  Only that small residual
+  system reaches dense elimination, and it is capped in size.
 
-All four paths end in one rank kernel, ``dense_rank_modp``.  It first peels
+All three paths end in one rank kernel, ``dense_rank_modp``.  It first peels
 singletons: a row or column with one nonzero is a pivot, and zero rows and
 columns drop out, pass after pass.  The core left is eliminated in int64
 with delayed reduction, after the FFLAS/FFPACK kernels of Dumas, Giorgi and
@@ -94,15 +97,11 @@ from .trinomial import is_prime
 
 Poly = Mapping[tuple[int, ...], int]
 
-_DENSE_CELL_LIMIT = 6_000_000
+_RESIDUAL_CELL_LIMIT = 6_000_000
 
 
 class OracleError(RuntimeError):
-    pass
-
-
-class OracleScaleError(OracleError):
-    """The dense rank path would exceed its size cap."""
+    """No finite colength, or a residual system beyond the size cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +337,9 @@ def _caps_and_mixed(exps: Sequence[tuple[int, ...]], num_vars: int):
 
 def _walk_lengths(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
                   num_vars: int) -> Callable[[int], int]:
-    caps, extras = _caps_and_mixed([next(iter(g)) for g in gens_q], num_vars)
+    caps, extras = _caps_and_mixed([next(iter(g)) for g in gens_q if len(g) == 1],
+                                   num_vars)
+    non_monomial = [(g, poly_degree(g)) for g in gens_q if len(g) > 1]
 
     def in_j(e: tuple[int, ...]) -> bool:
         """Membership in the monomial ideal of the single-term gens_q."""
@@ -356,64 +357,72 @@ def _walk_lengths(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
         (e_max, c_max), tail = terms[0], terms[1:]
         inv_cmax = pow(c_max, -1, p)
 
+    def residual(mu: tuple[int, ...], poly: Poly) -> dict[tuple[int, ...], int]:
+        """The column mu*poly inside the box, reduced by the structural
+        pivots of h: what is left has no entry at a structural lead."""
+        vec = {pos: c % p for e, c in poly.items()
+               if not in_j(pos := tuple(mu[i] + e[i] for i in range(num_vars)))}
+        if hyp is None:
+            return vec
+        heap = [tuple(-x for x in r) for r in vec]
+        heapq.heapify(heap)
+        settled: dict[tuple[int, ...], int] = {}
+        while heap:
+            r = tuple(-x for x in heapq.heappop(heap))
+            c = vec.get(r, 0)
+            if not c:
+                continue  # stale heap entry
+            delta = tuple(r[i] - e_max[i] for i in range(num_vars))
+            if min(delta) >= 0 and not in_j(delta):
+                # eliminate against the structural pivot with lead r; the
+                # replacement entries are strictly lex-smaller than r
+                del vec[r]
+                f = (c * inv_cmax) % p
+                for e, ce in tail:
+                    pos = tuple(delta[i] + e[i] for i in range(num_vars))
+                    if in_j(pos):
+                        continue
+                    val = (vec.get(pos, 0) - f * ce) % p
+                    if val:
+                        if pos not in vec:
+                            heapq.heappush(heap, tuple(-x for x in pos))
+                        vec[pos] = val
+                    elif pos in vec:
+                        del vec[pos]
+            else:
+                settled[r] = c
+                del vec[r]
+        return settled
+
     def length(m: int) -> int:
         nrows = sum(1 for e in monomials_of_degree(num_vars, m) if not in_j(e))
-        if hyp is None or nrows == 0 or m < dh:
+        if nrows == 0:
             return nrows
-        n_cols = 0
-        n_residual = 0
-        residual_vecs: list[dict[tuple[int, ...], int]] = []
-        for mu in monomials_of_degree(num_vars, m - dh):
-            if in_j(mu):
-                continue
-            n_cols += 1
-            lead = tuple(mu[i] + e_max[i] for i in range(num_vars))
-            if not in_j(lead):
-                continue  # structural pivot: lead is unique to this column
-            n_residual += 1
-            vec: dict[tuple[int, ...], int] = {}
-            heap: list[tuple[int, ...]] = []
-            for e, c in hyp.items():
-                pos = tuple(mu[i] + e[i] for i in range(num_vars))
-                if not in_j(pos):
-                    vec[pos] = c % p
-                    heapq.heappush(heap, tuple(-x for x in pos))
-            settled: dict[tuple[int, ...], int] = {}
-            while heap:
-                r = tuple(-x for x in heapq.heappop(heap))
-                c = vec.get(r, 0)
-                if not c:
-                    continue  # stale heap entry
-                delta = tuple(r[i] - e_max[i] for i in range(num_vars))
-                if min(delta) >= 0 and not in_j(delta):
-                    # eliminate against the structural pivot with lead r; the
-                    # replacement entries are strictly lex-smaller than r
-                    del vec[r]
-                    f = (c * inv_cmax) % p
-                    for e, ce in tail:
-                        pos = tuple(delta[i] + e[i] for i in range(num_vars))
-                        if in_j(pos):
-                            continue
-                        val = (vec.get(pos, 0) - f * ce) % p
-                        if val:
-                            if pos not in vec:
-                                heapq.heappush(heap, tuple(-x for x in pos))
-                            vec[pos] = val
-                        elif pos in vec:
-                            del vec[pos]
+        n_structural = 0
+        columns: list[dict[tuple[int, ...], int]] = []
+        if hyp is not None:
+            for mu in monomials_of_degree(num_vars, m - dh):
+                if in_j(mu):
+                    continue
+                lead = tuple(mu[i] + e_max[i] for i in range(num_vars))
+                if not in_j(lead):
+                    n_structural += 1  # lead is unique to this column
                 else:
-                    settled[r] = c
-                    del vec[r]
-            if settled:
-                residual_vecs.append(settled)
-
-        n_structural = n_cols - n_residual
-        if not residual_vecs:
+                    columns.append(residual(mu, hyp))
+        for g, dg in non_monomial:
+            columns.extend(residual(mu, g) for mu in monomials_of_degree(num_vars, m - dg)
+                           if not in_j(mu))
+        columns = [vec for vec in columns if vec]
+        if not columns:
             return nrows - n_structural
-        rows = sorted(set().union(*residual_vecs))
+        rows = sorted(set().union(*columns))
+        if len(rows) * len(columns) > _RESIDUAL_CELL_LIMIT:
+            raise OracleError(
+                f"the residual rank of degree {m} is a {len(rows)} x {len(columns)} "
+                f"matrix, beyond the size cap of {_RESIDUAL_CELL_LIMIT} entries")
         index = {r: i for i, r in enumerate(rows)}
-        a = np.zeros((len(rows), len(residual_vecs)), dtype=np.int64)
-        for j, vec in enumerate(residual_vecs):
+        a = np.zeros((len(rows), len(columns)), dtype=np.int64)
+        for j, vec in enumerate(columns):
             for r, c in vec.items():
                 a[index[r], j] = c
         return nrows - n_structural - dense_rank_modp(a, p)
@@ -551,35 +560,6 @@ def _shear(hyp: Poly, p: int, i: int, point: Sequence[int]) -> dict[tuple[int, .
     return {f: c for f, c in out.items() if c}
 
 
-def _dense_lengths(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
-                   num_vars: int) -> Callable[[int], int]:
-    polys = [(poly, poly_degree(poly))
-             for poly in ([hyp] if hyp is not None else []) + list(gens_q)]
-
-    def length(m: int) -> int:
-        rows = list(monomials_of_degree(num_vars, m))
-        index = {e: i for i, e in enumerate(rows)}
-        columns = []
-        for poly, dg in polys:
-            if m < dg:
-                continue
-            for mu in monomials_of_degree(num_vars, m - dg):
-                col = np.zeros(len(rows), dtype=np.int64)
-                for e, c in poly.items():
-                    pos = tuple(mu[i] + e[i] for i in range(num_vars))
-                    col[index[pos]] = (col[index[pos]] + c) % p
-                columns.append(col)
-        if not columns:
-            return len(rows)
-        if len(rows) * len(columns) > _DENSE_CELL_LIMIT:
-            raise OracleScaleError(
-                f"dense rank of a {len(rows)} x {len(columns)} matrix exceeds the "
-                "size cap; use monomial generators for the structured path")
-        return len(rows) - dense_rank_modp(np.array(columns).T, p)
-
-    return length
-
-
 def _num_vars(hyp: Optional[Poly], gens: Sequence[Poly]) -> int:
     return poly_num_vars(hyp if hyp is not None else gens[0])
 
@@ -594,7 +574,7 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly],
                      generators: Sequence[Poly], q: int,
                      num_vars: Optional[int] = None) -> tuple[str, Callable[[int], int]]:
     """Set up S/(h, g_1^q, ..., g_t^q) once and return its rank path
-    ("diagonal", "pure-power", "walk" or "dense"; see the module docstring)
+    ("diagonal", "pure-power" or "walk"; see the module docstring)
     with ``length(m)``, the length of its degree-m piece.  The diagonal path
     splits a Fermat-type quotient into two-variable blocks, whose ranks do
     not change when y^d and z^d are rescaled; the pure-power path reduces by
@@ -621,9 +601,7 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly],
             raise ValueError(f"a coefficient of {dict(poly)} is 0 mod {p}")
     hyp = normalize_poly(hypersurface, p) if hypersurface is not None else None
     gens_q = [frobenius_power(g, q, p) for g in generators]
-    if any(len(g) != 1 for g in gens_q):
-        return "dense", _dense_lengths(p, hyp, gens_q, num_vars)
-    if num_vars == 3 and hyp is not None:
+    if num_vars == 3 and hyp is not None and all(len(g) == 1 for g in gens_q):
         # every generator a pure power, or a mixed monomial that one divides
         caps, mixed = _caps_and_mixed([next(iter(g)) for g in gens_q], 3)
         d = poly_degree(hyp)

@@ -23,6 +23,17 @@ class TrinomialShapeError(ValueError):
     """Exponent data does not match either supported trinomial shape."""
 
 
+def _reject_collinear(mons: tuple[tuple[int, int, int], ...]) -> None:
+    """Three exponent vectors on one line make h a monomial times a form in
+    two monomials of degree >= 2, which splits over the algebraic closure:
+    the curve is reducible."""
+    u, v = ([x - y for x, y in zip(e, mons[0])] for e in mons[1:])
+    if u[1] * v[2] == u[2] * v[1] and u[2] * v[0] == u[0] * v[2] \
+            and u[0] * v[1] == u[1] * v[0]:
+        raise TrinomialShapeError("the three exponent vectors are collinear, so "
+                                  "the curve is reducible")
+
+
 class TrinomialHypothesisError(ValueError):
     """The curve is outside the supported regular-trinomial class (a derived
     invariant failed to be positive)."""
@@ -50,6 +61,7 @@ class TypeI:
             raise TrinomialShapeError("degree must be >= 3")
         if len(self.monomials()) < 3:
             raise TrinomialShapeError("the three monomials must be distinct")
+        _reject_collinear(self.monomials())
 
     @property
     def degree(self) -> int:
@@ -81,6 +93,7 @@ class TypeII:
             raise TrinomialShapeError("degree must be >= 3")
         if len(self.monomials()) < 3:
             raise TrinomialShapeError("the three monomials must be distinct")
+        _reject_collinear(self.monomials())
 
     @property
     def degree(self) -> int:
@@ -159,7 +172,8 @@ def classify(curve: TrinomialCurve) -> Union[Regular, Irregular]:
     multiplicity r >= d/2 (the largest such r is reported), regular otherwise
     (with the four derived invariants).
 
-    Irreducibility of the curve is the caller's contract and is not checked.
+    Collinear shapes are refused when the curve is made; irreducibility
+    beyond that (over F_p it can depend on p) is the caller's contract.
     """
     d = curve.degree
     r = max(coordinate_multiplicities(curve))

@@ -156,8 +156,8 @@ def _case_scaling() -> VerifyResult:
 
 def _case_kunz_regular() -> VerifyResult:
     """Kunz's theorem on the regular ring k[x, y, z]: l(S/J^[q]) = q^3 l(S/J)
-    for every m-primary J.  J has a binomial generator, so both sides take
-    the dense path, and no closed form is involved."""
+    for every m-primary J.  J has a binomial generator, whose multiples join
+    the walk's residual system on both sides; no closed form is involved."""
     p, q = 2, 4
     texts = ("x^2", "x*y + z^2", "y^2", "z^3")
     gens = [oracle.parse_polynomial(g, 3) for g in texts]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkfun import verify
+from hkfun import oracle, verify
 from hkfun.cli import decimal_string, main
 from hkfun.density import PairDensity
 from hkfun.piecewise import tent_function
@@ -61,7 +61,8 @@ def test_verify_case(capsys):
 
 
 def test_verify_kunz_case(capsys):
-    # Kunz on k[x, y, z]: l(S/J^[4]) = 4^3 * 7, on the dense path
+    # Kunz on k[x, y, z]: l(S/J^[4]) = 4^3 * 7; the binomial generator
+    # x*y + z^2 joins the walk's residual system
     code, out, _ = run_cli(capsys, "verify", "--case", "kunz-regular-dense")
     assert code == 0
     payload = json.loads(out)
@@ -159,6 +160,7 @@ def test_malformed_curve_is_one_line_error(capsys, argv):
 
 
 ORACLE_EHK = ("oracle", "--prime", "5", "--q", "5", "--op", "ehk")
+COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -207,12 +209,20 @@ ORACLE_EHK = ("oracle", "--prime", "5", "--q", "5", "--op", "ehk")
     (ORACLE_EHK + ("--hypersurface", "x*y - x*y + z^2 - z^2"),
      "polynomial 'x*y - x*y + z^2 - z^2' is zero"),
     (ORACLE_EHK + ("--hypersurface", "x^2+x*y-+y^2"), "malformed term '-'"),
+    (("trinomial", "--typeI", "0,4,1,3,4,0", "--prime", "5"), COLLINEAR),
+    (("trinomial", "--typeII", "4,2,1,1,2,2"), COLLINEAR),
+    (ORACLE_EHK + ("--typeII", "4,2,1,1,2,2"), COLLINEAR),
+    (("oracle", "--prime", "3", "--q", "3", "--op", "fthreshold"),
+     "fthreshold needs a hypersurface"),
+    (("oracle", "--prime", "3", "--q", "3", "--op", "fn"), "--x is required for op=fn"),
 ], ids=["table-prime-4", "samples-0", "samples-negative", "samples-1",
         "precision-trinomial", "x-without-fn", "vars-with-curve", "vars-0", "vars-negative",
         "mult-with-in", "mult-with-left", "n-with-gens", "precision-with-table",
         "precision-density-json", "precision-density-csv", "precision-oracle-profile",
         "precision-oracle-fn", "precision-oracle-csv", "precision-trinomial-csv",
-        "gens-empty", "n-with-empty-gens", "hypersurface-zero", "sign-without-term"])
+        "gens-empty", "n-with-empty-gens", "hypersurface-zero", "sign-without-term",
+        "typeI-collinear", "typeII-collinear", "oracle-collinear",
+        "fthreshold-without-hypersurface", "fn-without-x"])
 def test_invalid_option_is_one_line_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -379,3 +389,97 @@ def test_oracle_rejects_invalid_input(capsys, prime, q, hypersurface, extra):
     assert code == 1
     assert out == ""
     assert err.startswith("hkfun: error:") and err.count("\n") == 1
+
+
+def test_residual_size_cap_is_one_line_error(monkeypatch, capsys):
+    argv = ("oracle", "--prime", "3", "--q", "3", "--fermat", "4", "--gens", "x+y,y^2,z^2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["top_nonzero"] == 8
+    monkeypatch.setattr(oracle, "_RESIDUAL_CELL_LIMIT", 10)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("hkfun: error: the residual rank of degree ")
+    assert err.endswith(" matrix, beyond the size cap of 10 entries\n")
+    assert err.count("\n") == 1
+
+
+def test_segre_from_degrees_and_from_files(tmp_path, capsys):
+    # the Segre product of two tents: dimension 3, support [0, 2], e_HK 4/3
+    code, out, _ = run_cli(capsys, "segre", "--degrees", "1,1", "--degrees2", "1,1")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["dim"], payload["alpha"], payload["ehk"]) == (3, "2", "4/3")
+    tent = tmp_path / "tent.json"
+    code, _, _ = run_cli(capsys, "density", "--degrees", "1,1", "--out", str(tent))
+    assert code == 0
+    code, from_files, _ = run_cli(capsys, "segre", "--left", str(tent), "--right", str(tent))
+    assert code == 0
+    assert from_files == out
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("density", "--degrees", "1,1"), ["-inf,0,0", "0,1,0 1", "1,2,2 -1", "2,inf,0"]),
+    (("volume", "--degrees", "1,2"),
+     ["-inf,0,0", "0,1,0 1", "1,2,1", "2,3,3 -1", "3,inf,0"]),
+], ids=["density", "volume"])
+def test_piece_rows_csv(capsys, argv, rows):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["start,end,coefficients"] + rows
+
+
+def test_oracle_ehk(capsys):
+    # the quadric cone at q = 3: l(R/m^[3]) = 1 + 3 + 5 + 4 = 13, over q^2
+    code, out, _ = run_cli(capsys, "oracle", "--prime", "3", "--q", "3",
+                           "--hypersurface", "x*y - z^2", "--op", "ehk", "--precision", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["ehk_estimate"], payload["ehk_dec"]) == ("13/9", "1.4444")
+
+
+@pytest.mark.parametrize("flag, text, shape", [
+    ("--cyclic", "5", "4,1,4,1,4,1"),
+    ("--fermat", "4", "4,0,4,0,0,4"),
+], ids=["cyclic-typeI", "fermat-typeII"])
+def test_curve_flags_name_one_curve(capsys, flag, text, shape):
+    """--cyclic 5 is TypeI(4, 1, 4, 1, 4, 1) and --fermat 4 is
+    TypeII(4, 0, 4, 0, 0, 4): the table and the thresholds agree."""
+    option = "--typeI" if flag == "--cyclic" else "--typeII"
+    outs = []
+    for curve in ((flag, text), (option, shape)):
+        code, out, _ = run_cli(capsys, "trinomial", *curve, "--table", "--prime", "31",
+                               "--format", "csv")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert lines[0] == "residue,T,D,formula,threshold_at_p"
+    # phi(2 * lambda_h) / 2 rows: lambda_h = 13 for the cyclic quintic, 4 for
+    # the Fermat quartic
+    assert len(lines) - 1 == (6 if flag == "--cyclic" else 2)
+
+
+@pytest.mark.parametrize("extra, n", [
+    ((), 1), (("--prime", "5"), 1), (("--table",), 1), (("--table", "--prime", "7"), 1),
+    (("--n", "2"), 2), (("--n", "2", "--prime", "11"), 2),
+], ids=["plain", "prime", "table", "table-prime", "n2", "n2-prime"])
+def test_irregular_curve_threshold(capsys, extra, n):
+    """The irregular quintic witness (multiplicity 3 at [1:0:0]) has the one
+    threshold 3n/2 + (2r - d) n/(2d) = 8n/5 at every p, with or without a
+    prime or a table."""
+    code, out, _ = run_cli(capsys, "trinomial", "--typeI", "0,5,0,5,3,2", *extra)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["class"], payload["multiplicity"]) == ("irregular", 3)
+    assert payload["threshold"] == str(Fraction(8 * n, 5))
+    assert "table" not in payload
+
+
+@pytest.mark.parametrize("name", sorted(verify.CASES))
+def test_every_verify_case(capsys, name):
+    code, out, _ = run_cli(capsys, "verify", "--case", name)
+    payload = json.loads(out)
+    assert payload["case"] == name
+    failing = name in verify.FAILS_BY_DESIGN
+    assert (code, payload["passed"]) == ((1, False) if failing else (0, True))

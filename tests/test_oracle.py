@@ -142,8 +142,9 @@ def test_structured_path_matches_definition(rng):
                 brute_graded_length(p, h, gens, q, m, 3)
 
 
-def test_dense_path_matches_definition(rng):
-    # a non-monomial generator forces the dense path
+def test_walk_with_binomial_generator_matches_definition():
+    # (x + y)^[q] = x^q + y^q is not a monomial: its multiples join the
+    # walk's residual system
     p = 5
     gens = [{(1, 0): 1, (0, 1): 1}, {(0, 2): 1}, {(2, 0): 1}]  # (x+y, y^2, x^2)
     for q in (5, 25):
@@ -170,7 +171,7 @@ def test_one_setup_per_quotient(monkeypatch):
 
     monkeypatch.setattr(oracle, "frobenius_power", counted)
     # the pure-power and diagonal paths, the walk with and without h, and
-    # the dense path
+    # the walk with a non-monomial generator
     cases = [(QUADRIC_CONE, XYZ_VARS), (trinomial_poly(fermat(4)), XYZ_VARS),
              (trinomial_poly(cyclic(4)), variable_powers(3, 2)), (None, XY_VARS),
              (trinomial_poly(fermat(4)), [{(1, 0, 0): 1, (0, 1, 0): 1}] + XYZ_VARS[1:])]
@@ -272,10 +273,10 @@ def test_scaling_check():
     )
 
 
-def test_scaling_check_dense_path():
+def test_scaling_check_non_monomial_walk():
     # the lengths of (x + y, x + 2y)^[9] depend on the coefficients
     gens = [parse_polynomial("x + y", 2), parse_polynomial("x + 2*y", 2)]
-    assert quotient_lengths(3, None, gens, 9)[0] == "dense"
+    assert quotient_lengths(3, None, gens, 9)[0] == "walk"
     assert scaling_check(3, None, gens, 3, 3)
 
 
@@ -310,12 +311,13 @@ KUNZ_REGULAR = [
 @pytest.mark.parametrize("p, num_vars, texts, totals", KUNZ_REGULAR)
 def test_kunz_on_polynomial_ring(p, num_vars, texts, totals):
     """Kunz: on a regular ring l(S/J^[q]) = q^dim * l(S/J) for every
-    m-primary J.  These J take the dense path, so this checks the brackets
-    and the rank code with no closed form involved."""
+    m-primary J.  These J have non-monomial generators and take the walk,
+    so this checks the brackets and the rank code with no closed form
+    involved."""
     gens = [parse_polynomial(t, num_vars) for t in texts]
     colength = colength_profile(p, None, gens, 1).total()
     for q, total in totals.items():
-        assert quotient_lengths(p, None, gens, q)[0] == "dense"
+        assert quotient_lengths(p, None, gens, q)[0] == "walk"
         assert colength_profile(p, None, gens, q).total() == total == q ** num_vars * colength
 
 
@@ -458,7 +460,7 @@ def test_length_path_routes():
     # (xy)^[3] is not in (x^6, y^6, z^6)
     assert length_path(fermat4, variable_powers(3, 2) + [{(1, 1, 0): 1}], 3) == "walk"
     non_monomial = [{(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}]
-    assert length_path(fermat4, non_monomial, 3) == "dense"
+    assert length_path(fermat4, non_monomial, 3) == "walk"
 
 
 def _vanishes_on_plane(h, p):
@@ -577,3 +579,62 @@ def test_walk_matches_definition(case):
     top = q * sum(sum(next(iter(g))) for g in gens[:3]) + (poly_degree(h) if h else 3) + 1
     for m in range(top + 1):
         assert walk(m) == brute_graded_length(p, h, gens, q, m, 3)
+
+
+@st.composite
+def merged_walk_cases(draw):
+    """An ideal in 2 or 3 variables mixing pure powers, a mixed monomial and
+    one or two non-monomial generators of degree 1 or 2, bracketed by q in
+    {1, p}, with or without a hypersurface."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    q = draw(st.sampled_from([1, p]))
+    nv = draw(st.sampled_from([2, 3]))
+    unit = [tuple(int(k == i) for k in range(nv)) for i in range(nv)]
+
+    def form(d, min_terms, max_terms):
+        monomials = [e for e in itertools.product(range(d + 1), repeat=nv) if sum(e) == d]
+        terms = draw(st.lists(st.sampled_from(monomials), min_size=min_terms,
+                              max_size=min(max_terms, len(monomials)), unique=True))
+        return {e: draw(st.integers(1, p - 1)) for e in terms}
+
+    gens = [{tuple(n * x for x in unit[i]): 1}
+            for i in range(nv) if (n := draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        gens.append({draw(st.sampled_from([e for e in itertools.product(range(3), repeat=nv)
+                                           if 2 <= sum(e) <= 3 and max(e) < sum(e)])): 1})
+    for _ in range(draw(st.integers(1, 2))):
+        gens.append(form(draw(st.integers(1, 2)), 2, 3))
+    h = form(draw(st.integers(1, 3)), 1, 4) if draw(st.booleans()) else None
+    return p, q, nv, gens, h
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(merged_walk_cases())
+# (x + 2y)^[3] = x^3 + 2y^3 beside the cap z^6: every step of the walk
+# reduces a multiple of the binomial against h's structural pivots
+@example((3, 3, 3, [{(0, 0, 2): 1}, {(1, 0, 0): 1, (0, 1, 0): 2}],
+          {(2, 0, 0): 1, (0, 1, 1): 2, (0, 0, 2): 1}))
+def test_merged_walk_matches_definition(case):
+    p, q, nv, gens, h = case
+    path, length = quotient_lengths(p, h, gens, q, nv)
+    assert path == "walk"
+    for m in range(12):
+        assert length(m) == brute_graded_length(p, h, gens, q, m, nv)
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_walk_with_linear_generator_matches_substitution(q):
+    """The substitution x -> x - y sends (x + y, y^2, z^2) to the monomial
+    ideal (x, y^2, z^2) and the Fermat quartic h to h(x - y, y, z).  A
+    graded automorphism keeps every length, and the substituted quotient
+    takes the pure-power path, a route independent of the walk."""
+    p = 3
+    h = trinomial_poly(fermat(4))
+    gens = [parse_polynomial(g, 3) for g in ("x + y", "y^2", "z^2")]
+    moved_h = oracle._shear(h, p, 1, (p - 1, 1, 0))
+    moved_gens = [parse_polynomial(g, 3) for g in ("x", "y^2", "z^2")]
+    assert quotient_lengths(p, h, gens, q)[0] == "walk"
+    assert quotient_lengths(p, moved_h, moved_gens, q)[0] == "pure-power"
+    walked = colength_profile(p, h, gens, q)
+    moved = colength_profile(p, moved_h, moved_gens, q)
+    assert (walked.top_nonzero, walked.lengths) == (moved.top_nonzero, moved.lengths)

@@ -42,6 +42,41 @@ def test_shape_validation():
         TypeII(4, 0, 4, 0, 4, 1)  # b + c != d
     with pytest.raises(TrinomialShapeError):
         TypeII(4, 4, 0, 0, 0, 4)  # x^d repeated: monomials collide
+    # collinear exponent vectors: a reducible curve
+    with pytest.raises(TrinomialShapeError, match="collinear"):
+        TypeI(0, 4, 1, 3, 4, 0)  # y^4 + y z^3 + z^4: x is missing
+    with pytest.raises(TrinomialShapeError, match="collinear"):
+        TypeII(4, 2, 1, 1, 2, 2)  # x^4 + x^2 y z + y^2 z^2
+
+
+def test_shape_rejected_exactly_when_collinear():
+    """Three points of the plane e_x + e_y + e_z = d > 0 lie on one line
+    exactly when the 3 x 3 matrix of the exponent vectors is singular.
+    Every shape with a missing variable is among them."""
+    def det(a, b, c):
+        return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+    rejected = {}
+    for d in range(3, 8):
+        shapes = [(TypeI, (a1, d - a1, b1, d - b1, c1, d - c1),
+                   ((a1, d - a1, 0), (0, b1, d - b1), (d - c1, 0, c1)))
+                  for a1, b1, c1 in product(range(d + 1), repeat=3)]
+        shapes += [(TypeII, (d, a1, a2, d - a1 - a2, b, d - b),
+                    ((d, 0, 0), (a1, a2, d - a1 - a2), (0, b, d - b)))
+                   for a1 in range(d + 1) for a2 in range(d + 1 - a1) for b in range(d + 1)]
+        for shape, exps, mons in shapes:
+            if len(set(mons)) < 3:
+                continue
+            missing = any(all(e[i] == 0 for e in mons) for i in range(3))
+            try:
+                shape(*exps)
+            except TrinomialShapeError:
+                assert det(*mons) == 0
+                rejected[d] = rejected.get(d, 0) + 1
+            else:
+                assert det(*mons) != 0 and not missing
+    assert rejected == {3: 10, 4: 16, 5: 20, 6: 29, 7: 30}
 
 
 def test_fermat_classification():
