@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -108,8 +109,6 @@ def _emit(payload: dict, rows: Optional[list[dict]], args) -> None:
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        if rows is None:
-            rows = [payload]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -354,7 +353,11 @@ def _curve_options(parser: argparse.ArgumentParser, required: bool):
     return group
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and kept for the
+    life of the process: parsing leaves it unchanged, and ``main`` may run
+    many times in one process."""
     density_out = _output_options(("json", "csv", "samples"))
     value_out = _output_options(("json", "csv"))
     verdict_out = _output_options(("json", "csv"), precision=False)

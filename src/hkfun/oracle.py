@@ -74,6 +74,26 @@ and the block is reduced only when one more step could carry an entry past
 2^62.  A step moves an entry by less than (p - 1)^2, so p must be below
 2^31, which ``quotient_lengths`` checks.  No float is involved.
 
+``colength_profile`` and ``top_nonzero_degree`` rank only the upper half of
+a profile when the bracketed generators are exactly the pure powers
+x_1^c_1, ..., x_n^c_n (after the redundant mixed monomials are dropped) and
+a hypersurface h of degree d is given.  Then T = S/(x_1^c_1, ..., x_n^c_n)
+is a monomial complete intersection, Gorenstein with socle degree
+s = sum (c_i - 1), so (0 :_T h)_k is dual to (T/hT)_(s-k) (Matlis duality,
+Eisenbud, GTM 150, Section 21.2).  The exact sequence
+0 -> (0 :_T h)(-d) -> T(-d) -> T -> T/hT -> 0 then gives, with
+N = s + d and t_m the coefficient of z^m in prod (1 - z^c_i)/(1 - z)^n,
+
+    l_m = t_m - t_(m-d) + l_(N-m),
+
+so every degree below ceil(N/2) follows from one at or above it.  The sweep
+ranks the degrees from ceil(N/2) up to the first zero and fills in the rest;
+the top search gallops upward from ceil(N/2).  h = None is left out: the
+quotient is then T itself, whose lengths are the t_m alone, and the Kunz
+and ``monomial_alpha`` checks that use it must stay on ranks to check
+anything.  A surviving mixed monomial or a non-monomial generator keeps the
+every-degree sweep too, since the ring it cuts out need not be Gorenstein.
+
 ``monomial_alpha`` is the support invariant of a monomial ideal J of the
 polynomial ring S in n variables: the top nonzero degree of S/J, which
 ``top_nonzero_degree`` finds on the walk, plus n.  Polynomials are
@@ -88,7 +108,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -657,24 +677,67 @@ def _sweep_bound(hypersurface: Optional[Poly], generators: Sequence[Poly],
     return q * gen_total + base + 1
 
 
+def _gorenstein_mirror(hypersurface: Optional[Poly], generators: Sequence[Poly],
+                       q: int) -> Optional[tuple[int, Callable[[int], int]]]:
+    """(N, e) with l_m = e(m) + l_(N-m) for every degree m, where
+    e(m) = t_m - t_(m-d), when h is given and the bracketed generators are
+    exactly the pure powers of every variable; None otherwise (module
+    docstring).  The caps are q times the generators' exponents."""
+    if hypersurface is None or any(len(g) != 1 for g in generators):
+        return None
+    num_vars = _num_vars(hypersurface, generators)
+    caps, mixed = _caps_and_mixed(
+        [tuple(q * x for x in next(iter(g))) for g in generators], num_vars)
+    if mixed or None in caps:
+        return None
+    # t[m]: the monomials of degree m with every exponent below its cap, the
+    # coefficients of the product of the 1 + z + ... + z^(c_i - 1)
+    t = [1]
+    for c in caps:
+        prefix = [0, *accumulate(t)]
+        t = [prefix[min(m + 1, len(t))] - prefix[max(0, m - c + 1)]
+             for m in range(len(t) + c - 1)]
+    s, d = len(t) - 1, poly_degree(hypersurface)
+
+    def excess(m: int) -> int:
+        return (t[m] if 0 <= m <= s else 0) - (t[m - d] if 0 <= m - d <= s else 0)
+
+    return s + d, excess
+
+
 def colength_profile(p: int, hypersurface: Optional[Poly],
                      generators: Sequence[Poly], q: int) -> ColengthProfile:
     """Sweep degrees upward until the first zero length.
 
     In a standard graded quotient a zero piece forces all higher pieces to be
     zero, so the sweep may stop at the first zero; if the safety bound is
-    passed without one the ideal did not have finite colength.
+    passed without one the ideal did not have finite colength.  Where the
+    Gorenstein mirror applies (module docstring) the sweep starts at
+    ceil(N/2), and the degrees below follow from the ones it ranked.
     """
     bound = _sweep_bound(hypersurface, generators, q)
     _, length = quotient_lengths(p, hypersurface, generators, q)
-    lengths: dict[int, int] = {}
-    for m in range(bound + 1):
+    mirror = _gorenstein_mirror(hypersurface, generators, q)
+    start = 0 if mirror is None else (mirror[0] + 1) // 2
+    upper: dict[int, int] = {}
+    for m in range(start, bound + 1):
         value = length(m)
         if value == 0:
-            return ColengthProfile(p=p, q=q, lengths=lengths, top_nonzero=m - 1)
-        lengths[m] = value
-    raise OracleError("no zero tail before the sweep bound; the ideal does "
-                      "not have finite colength")
+            break
+        upper[m] = value
+    else:
+        raise OracleError("no zero tail before the sweep bound; the ideal does "
+                          "not have finite colength")
+    lengths: dict[int, int] = {}
+    if mirror is not None:
+        n_top, excess = mirror
+        for m in range(start):
+            value = excess(m) + upper.get(n_top - m, 0)
+            if value == 0:
+                return ColengthProfile(p=p, q=q, lengths=lengths, top_nonzero=m - 1)
+            lengths[m] = value
+    lengths.update(upper)
+    return ColengthProfile(p=p, q=q, lengths=lengths, top_nonzero=start + len(upper) - 1)
 
 
 def top_nonzero_degree(p: int, hypersurface: Optional[Poly],
@@ -682,14 +745,30 @@ def top_nonzero_degree(p: int, hypersurface: Optional[Poly],
     """Largest degree with a nonzero piece, located by bisection.
 
     Zero pieces are upward-closed in a standard graded quotient, which makes
-    bisection valid and avoids computing the full profile at large q.
+    bisection valid and avoids computing the full profile at large q.  Where
+    the Gorenstein mirror applies (module docstring) the ideal has finite
+    colength, and the search starts at ceil(N/2): if that degree is zero, the
+    top is the last lower degree with a positive t_k - t_(k-d); otherwise it
+    gallops upward (steps 1, 2, 4, ... up to the sweep bound) and bisects.
     """
     hi = _sweep_bound(hypersurface, generators, q)
     _, length = quotient_lengths(p, hypersurface, generators, q)
-    if length(hi) != 0:
+    mirror = _gorenstein_mirror(hypersurface, generators, q)
+    if mirror is not None:
+        n_top, excess = mirror
+        lo = (n_top + 1) // 2
+        if length(lo) == 0:
+            # below ceil(N/2), l_k = t_k - t_(k-d) + l_(N-k) and l_(N-k) = 0
+            return max(k for k in range(lo) if excess(k) > 0)
+        step = 1
+        while (probe := min(lo + step, hi)) < hi and length(probe) != 0:
+            lo, step = probe, 2 * step
+        hi = probe
+    elif length(hi) != 0:
         raise OracleError("no zero tail at the sweep bound; the ideal does "
                           "not have finite colength")
-    lo = 0  # degree zero is never zero: the quotient contains the constants
+    else:
+        lo = 0  # degree zero is never zero: the quotient contains the constants
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if length(mid) == 0:

@@ -18,7 +18,7 @@ from . import oracle
 from .bundle import HNData, Polarization, SyzygySpec, syzygy_pair_density
 from .density import segre
 from .piecewise import fraction_str, tent_function
-from .trinomial import Irregular, TypeI, classify, f_threshold, fermat
+from .trinomial import Irregular, TypeI, classify, cyclic, f_threshold, fermat
 from .volume import BoxSliceSpec, lattice_slice_count, parameter_density, slice_volume
 
 QUADRIC_CONE = {(1, 1, 0): 1, (0, 0, 2): -1}
@@ -154,6 +154,26 @@ def _case_scaling() -> VerifyResult:
                                "powers (g^3)^3 mod 3 and of I^[9] agree degree by degree")
 
 
+def _case_profile_mirror() -> VerifyResult:
+    """The cyclic quartic over m^[49] at p = 7: ``colength_profile`` ranks
+    only the degrees from ceil(N/2) up and mirrors the rest; every degree is
+    ranked here instead, through the same ``length``."""
+    p, q = 7, 49
+    hyp = oracle.trinomial_poly(cyclic(4))
+    gens = oracle.variable_powers(3, 1)
+    profile = oracle.colength_profile(p, hyp, gens, q)
+    _, length = oracle.quotient_lengths(p, hyp, gens, q)
+    ranked: dict[int, int] = {}
+    while value := length(len(ranked)):
+        ranked[len(ranked)] = value
+    ok = (profile.lengths, profile.top_nonzero) == (ranked, len(ranked) - 1)
+    return VerifyResult(name="profile-mirror-cyclic4-p7-q49", passed=ok,
+                        measured="equal" if ok else "unequal", target="equal",
+                        tolerance="0", gap="0" if ok else "1",
+                        detail=f"mirrored profile (top {profile.top_nonzero}) against a rank "
+                               f"at every degree 0..{len(ranked)}")
+
+
 def _case_kunz_regular() -> VerifyResult:
     """Kunz's theorem on the regular ring k[x, y, z]: l(S/J^[q]) = q^3 l(S/J)
     for every m-primary J.  J has a binomial generator, whose multiples join
@@ -214,6 +234,7 @@ CASES: dict[str, Callable[[], VerifyResult]] = {
     "irregular-d5-oracle": _case_irregular_quintic,
     "scaling-quadric-cone": _case_scaling,
     "kunz-regular-dense": _case_kunz_regular,
+    "profile-mirror-cyclic4-p7-q49": _case_profile_mirror,
     "volume-convergence": _case_volume_convergence,
 }
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkfun import oracle, verify
-from hkfun.cli import decimal_string, main
+from hkfun.cli import build_parser, decimal_string, main
 from hkfun.density import PairDensity
 from hkfun.piecewise import tent_function
 
@@ -77,6 +77,7 @@ def test_verify_list(capsys):
     assert "fermat4-p17-q17" in lines
     assert "fermat4-p29-q841" in lines
     assert "kunz-regular-dense" in lines
+    assert "profile-mirror-cyclic4-p7-q49" in lines
     # the one case that fails on correct code says so, with where to read why
     marked = [line for line in lines if "fails by design" in line]
     assert len(marked) == 1
@@ -267,6 +268,41 @@ def test_inapplicable_option_is_usage_error(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def _outcome(capsys, argv):
+    """(exit status, stdout, stderr) of one ``main`` call, usage errors
+    included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_a_sequence_of_commands(capsys):
+    """``main`` builds its parser once per process; a run of different
+    subcommands, a computation error and a usage error among them, gives
+    each the output and exit status it gives on a parser of its own."""
+    sequence = [
+        ("oracle", "--prime", "5", "--q", "5", "--fermat", "4", "--op", "fthreshold",
+         "--threads", "1"),
+        ("density", "--degrees", "1,1", "--format", "csv"),
+        ("oracle", "--prime", "4", "--q", "4", "--fermat", "4"),  # exit 1: 4 is not prime
+        ("trinomial", "--fermat", "5", "--cyclic", "4"),  # exit 2: two curves
+        ("verify", "--list"),
+        ("oracle", "--prime", "3", "--q", "3", "--hypersurface", "x*y - z^2",
+         "--op", "profile", "--format", "csv"),
+    ]
+    alone = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        alone.append(_outcome(capsys, argv))
+    assert [code for code, _, _ in alone] == [0, 0, 1, 2, 0, 0]
+    build_parser.cache_clear()
+    assert [_outcome(capsys, argv) for argv in sequence] == alone
+    assert build_parser.cache_info().misses == 1
 
 
 def test_verify_list_out(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 import re
@@ -638,3 +639,123 @@ def test_walk_with_linear_generator_matches_substitution(q):
     walked = colength_profile(p, h, gens, q)
     moved = colength_profile(p, moved_h, moved_gens, q)
     assert (walked.top_nonzero, walked.lengths) == (moved.top_nonzero, moved.lengths)
+
+
+@contextlib.contextmanager
+def asked_degrees():
+    """The degrees, in order, that the sweeps of ``oracle`` ask the
+    ``length`` of their ``quotient_lengths`` for."""
+    asked = []
+    real = oracle.quotient_lengths
+
+    def recorded(*args, **kwargs):
+        path, length = real(*args, **kwargs)
+
+        def counted(m):
+            asked.append(m)
+            return length(m)
+        return path, counted
+
+    oracle.quotient_lengths = recorded
+    try:
+        yield asked
+    finally:
+        oracle.quotient_lengths = real
+
+
+@st.composite
+def mirror_cases(draw):
+    """A hypersurface of degree 1-6 (p <= d allowed) over pure-power caps
+    (n_1, ..., n_k)^[q] drawn independently in 2-4 variables: Fermat-type,
+    with a pure power, without one (the shear when the caps are one power
+    of p), or inside I^[q]; sometimes beside a mixed monomial that a pure
+    power divides.  Kept small enough for the definition-level elimination."""
+    nv = draw(st.sampled_from([2, 3, 4]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    room = {2: 40, 3: 21, 4: 12}[nv]  # the largest sum of caps
+    q = draw(st.sampled_from([x for x in (1, p, p * p) if nv * x <= room]))
+    ns = [draw(st.integers(1, max(1, min(3, room // (nv * q))))) for _ in range(nv)]
+    caps = [n * q for n in ns]
+    unit = [tuple(int(k == i) for k in range(nv)) for i in range(nv)]
+    gens = [{tuple(n * x for x in unit[i]): draw(st.integers(1, p - 1))}
+            for i, n in enumerate(ns)]
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(nv)))[:2]
+        gens.append({tuple(ns[i] + draw(st.integers(0, 1)) if k == i
+                           else draw(st.integers(1, 2)) if k == j else 0
+                           for k in range(nv)): 1})
+    d = draw(st.integers(1, 6))
+    monomials = [e for e in itertools.product(range(d + 1), repeat=nv) if sum(e) == d]
+    pure = [tuple(d * x for x in u) for u in unit]
+    in_ideal = [e for e in monomials if any(x >= c for x, c in zip(e, caps))]
+    kind = draw(st.sampled_from(["fermat", "pure", "any", "in-ideal"]))
+    if kind == "fermat":
+        terms = pure
+    elif kind == "pure":
+        terms = [draw(st.sampled_from(pure))] + draw(st.lists(
+            st.sampled_from(monomials), max_size=3, unique=True))
+    elif kind == "in-ideal" and in_ideal:
+        terms = draw(st.lists(st.sampled_from(in_ideal), min_size=1, max_size=3, unique=True))
+    else:
+        terms = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+    h = {e: draw(st.integers(1, p - 1)) for e in terms}
+    return p, q, nv, gens, h
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(mirror_cases())
+# the diagonal path, at p < d and at unequal caps
+@example((2, 2, 3, [{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 4): 1}],
+          {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}))
+# the pure-power path with a redundant x^3 y beside x^3, and d = 5 above the cap 3
+@example((3, 3, 3, [{(1, 0, 0): 1}, {(0, 1, 0): 2}, {(0, 0, 2): 1}, {(1, 1, 0): 1}],
+          {(0, 0, 5): 1, (2, 2, 1): 2, (1, 3, 1): 1}))
+# the shear: the cyclic quartic over m^[7]
+@example((7, 7, 3, variable_powers(3, 1), trinomial_poly(cyclic(4))))
+# h in I^[q]: T/hT = T
+@example((5, 5, 3, variable_powers(3, 1), {(5, 1, 0): 3, (0, 0, 6): 1}))
+# the walk in two and in four variables
+@example((3, 3, 2, [{(2, 0): 1}, {(0, 3): 2}], {(2, 1): 1, (0, 3): 2}))
+@example((2, 2, 4, variable_powers(4, 1), SEGRE_QUADRIC))
+def test_mirror_matches_every_degree(case):
+    """``colength_profile`` and ``top_nonzero_degree``, which rank only from
+    ceil(N/2) up, against ``length`` at every degree and the definition;
+    and the degrees they ask for start at ceil(N/2), N = sum(c_i - 1) + d."""
+    p, q, nv, gens, h = case
+    path, length = quotient_lengths(p, h, gens, q, nv)
+    if nv == 3 and _is_diagonal(h):
+        assert path == "diagonal"
+    every = []
+    while value := length(len(every)):
+        every.append(value)
+    caps = [q * max(next(iter(g))) for g in gens[:nv]]
+    assert every == [brute_graded_length(p, h, gens, q, m, nv)
+                     for m in range(len(every))]
+    assert brute_graded_length(p, h, gens, q, len(every), nv) == 0
+    start = (sum(c - 1 for c in caps) + poly_degree(h) + 1) // 2
+    with asked_degrees() as asked:
+        profile = colength_profile(p, h, gens, q)
+    assert (profile.lengths, profile.top_nonzero) == (dict(enumerate(every)), len(every) - 1)
+    assert min(asked) == start
+    with asked_degrees() as asked:
+        assert top_nonzero_degree(p, h, gens, q) == len(every) - 1
+    assert asked[0] == start
+
+
+FERMAT4 = trinomial_poly(fermat(4))
+
+
+@pytest.mark.parametrize("h, gens", [
+    (FERMAT4, variable_powers(3, 2) + [{(1, 1, 0): 1}]),  # xy survives (x^2, y^2, z^2)
+    (FERMAT4, [parse_polynomial(g, 3) for g in ("x + y", "y^2", "z^2")]),
+    (None, XYZ_VARS),
+], ids=["surviving-mixed-monomial", "non-monomial-generator", "no-hypersurface"])
+def test_every_degree_sweep_off_the_mirror(h, gens):
+    """Off pure-power caps or without h, the profile ranks every degree and
+    the top search starts at the sweep bound."""
+    with asked_degrees() as asked:
+        profile = colength_profile(3, h, gens, 3)
+    assert asked == list(range(profile.top_nonzero + 2))
+    with asked_degrees() as asked:
+        assert top_nonzero_degree(3, h, gens, 3) == profile.top_nonzero
+    assert asked[0] == oracle._sweep_bound(h, gens, 3)
