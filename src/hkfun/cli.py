@@ -31,7 +31,7 @@ from .bundle import HNData, Polarization, SyzygySpec, bundle_alpha, bundle_densi
 from .density import PairDensity, segre
 from .piecewise import PiecewisePolynomial, as_fraction, fraction_str
 from .trinomial import Irregular, TypeI, TypeII, classify, cyclic, \
-    f_threshold, fermat, is_prime, residue_table
+    f_threshold, fermat, prime_class, residue_table
 from .volume import BoxSliceSpec, parameter_density, slice_volume
 
 
@@ -235,8 +235,8 @@ def _cmd_trinomial(args) -> int:
                        threshold_dec=decimal_string(value, _precision(args)))
         _emit(payload, [{"threshold": fraction_str(value)}], args)
         return 0
-    if args.prime is not None and not is_prime(args.prime):
-        raise ValueError(f"{args.prime} is not prime")
+    if args.prime is not None:
+        prime_class(kind, args.prime)  # the check that f_threshold makes
     if isinstance(kind, Irregular):
         value = f_threshold(curve, args.n, 2)
         payload["threshold"] = fraction_str(value)

@@ -7,11 +7,12 @@ degree) of the hypersurface and of the q-th powers of the generators,
 expressed in the monomial basis; the graded length is dim - rank.
 
 ``quotient_lengths`` sets up one quotient R/I^[q] once: it checks the input,
-brackets the generators, picks one of three rank paths and does that path's
-per-quotient work.  The ``length(m)`` it returns does only the work of
-degree m, so a sweep or a bisection pays for the setup once.  A mixed
-monomial generator that a pure-power generator divides adds nothing to the
-ideal, so it is dropped before the path is chosen.
+brackets the generators and sorts them into caps (the least pure power of
+each variable) and surviving mixed monomials; a mixed monomial that a pure
+power divides adds nothing to the ideal and is dropped.  That one analysis
+picks one of three rank paths and the Gorenstein mirror below; it returns
+the path, ``length(m)`` and the mirror.  ``length`` does only the work of
+degree m, so a sweep or a bisection pays for the setup once.
 
 - ``"diagonal"``: three variables, every generator a pure power (caps c_x,
   c_y, c_z) and h = c_1 x^d + c_2 y^d + c_3 z^d, the Fermat family.  Over
@@ -77,10 +78,11 @@ and the block is reduced only when one more step could carry an entry past
 ``colength_profile`` and ``top_nonzero_degree`` rank only the upper half of
 a profile when the bracketed generators are exactly the pure powers
 x_1^c_1, ..., x_n^c_n (after the redundant mixed monomials are dropped) and
-a hypersurface h of degree d is given.  Then T = S/(x_1^c_1, ..., x_n^c_n)
-is a monomial complete intersection, Gorenstein with socle degree
-s = sum (c_i - 1), so (0 :_T h)_k is dual to (T/hT)_(s-k) (Matlis duality,
-Eisenbud, GTM 150, Section 21.2).  The exact sequence
+a hypersurface h of degree d is given, in any number of variables: the
+caps that also open the diagonal and pure-power paths.  Then
+T = S/(x_1^c_1, ..., x_n^c_n) is a monomial complete intersection,
+Gorenstein with socle degree s = sum (c_i - 1), so (0 :_T h)_k is dual to
+(T/hT)_(s-k) (Matlis duality, Eisenbud, GTM 150, Section 21.2).  The exact sequence
 0 -> (0 :_T h)(-d) -> T(-d) -> T -> T/hT -> 0 then gives, with
 N = s + d and t_m the coefficient of z^m in prod (1 - z^c_i)/(1 - z)^n,
 
@@ -355,14 +357,16 @@ def _caps_and_mixed(exps: Sequence[tuple[int, ...]], num_vars: int):
     return caps, mixed
 
 
-def _walk_lengths(p: int, hyp: Optional[Poly], gens_q: Sequence[Poly],
-                  num_vars: int) -> Callable[[int], int]:
-    caps, extras = _caps_and_mixed([next(iter(g)) for g in gens_q if len(g) == 1],
-                                   num_vars)
-    non_monomial = [(g, poly_degree(g)) for g in gens_q if len(g) > 1]
+def _walk_lengths(p: int, hyp: Optional[Poly], caps: Sequence[Optional[int]],
+                  extras: Sequence[tuple[int, ...]],
+                  non_monomial: Sequence[Poly]) -> Callable[[int], int]:
+    """The walk over the ideal of ``_caps_and_mixed``'s caps and extras and
+    the bracketed non-monomial generators."""
+    num_vars = len(caps)
+    non_monomial = [(g, poly_degree(g)) for g in non_monomial]
 
     def in_j(e: tuple[int, ...]) -> bool:
-        """Membership in the monomial ideal of the single-term gens_q."""
+        """Membership in the ideal of the monomial generators."""
         for i, cap in enumerate(caps):
             if cap is not None and e[i] >= cap:
                 return True
@@ -580,6 +584,28 @@ def _shear(hyp: Poly, p: int, i: int, point: Sequence[int]) -> dict[tuple[int, .
     return {f: c for f, c in out.items() if c}
 
 
+Mirror = tuple[int, Callable[[int], int]]
+
+
+def _gorenstein_mirror(caps: Sequence[int], d: int) -> Mirror:
+    """(N, e) with l_m = e(m) + l_(N-m) for every degree m of
+    S/(h, x_1^c_1, ..., x_n^c_n), deg h = d, where e(m) = t_m - t_(m-d)
+    (module docstring)."""
+    # t[m]: the monomials of degree m with every exponent below its cap, the
+    # coefficients of the product of the 1 + z + ... + z^(c_i - 1)
+    t = [1]
+    for c in caps:
+        prefix = [0, *accumulate(t)]
+        t = [prefix[min(m + 1, len(t))] - prefix[max(0, m - c + 1)]
+             for m in range(len(t) + c - 1)]
+    s = len(t) - 1
+
+    def excess(m: int) -> int:
+        return (t[m] if 0 <= m <= s else 0) - (t[m - d] if 0 <= m - d <= s else 0)
+
+    return s + d, excess
+
+
 def _num_vars(hyp: Optional[Poly], gens: Sequence[Poly]) -> int:
     return poly_num_vars(hyp if hyp is not None else gens[0])
 
@@ -591,15 +617,16 @@ def _is_power_of(q: int, p: int) -> bool:
 
 
 def quotient_lengths(p: int, hypersurface: Optional[Poly],
-                     generators: Sequence[Poly], q: int,
-                     num_vars: Optional[int] = None) -> tuple[str, Callable[[int], int]]:
-    """Set up S/(h, g_1^q, ..., g_t^q) once and return its rank path
-    ("diagonal", "pure-power" or "walk"; see the module docstring)
-    with ``length(m)``, the length of its degree-m piece.  The diagonal path
-    splits a Fermat-type quotient into two-variable blocks, whose ranks do
-    not change when y^d and z^d are rescaled; the pure-power path reduces by
-    the pure power of h.  Mixed monomial generators that a pure-power
-    generator divides are dropped first.
+                     generators: Sequence[Poly], q: int, num_vars: Optional[int] = None
+                     ) -> tuple[str, Callable[[int], int], Optional[Mirror]]:
+    """Set up S/(h, g_1^q, ..., g_t^q) once and return (path, length,
+    mirror): its rank path ("diagonal", "pure-power" or "walk"),
+    ``length(m)``, the length of its degree-m piece, and the Gorenstein
+    mirror (N, e) of ``_gorenstein_mirror``, or None where it does not
+    apply.  One ``_caps_and_mixed`` of the bracketed generators decides
+    both (module docstring): h over exactly the pure powers
+    x_1^c_1, ..., x_n^c_n gets the mirror, and in three variables the
+    diagonal or the pure-power path where one applies; the rest walks.
 
     Raises ValueError when p is not prime or not below 2^31, q is not a
     power of p, a polynomial is constant or not homogeneous, or a coefficient
@@ -621,27 +648,30 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly],
             raise ValueError(f"a coefficient of {dict(poly)} is 0 mod {p}")
     hyp = normalize_poly(hypersurface, p) if hypersurface is not None else None
     gens_q = [frobenius_power(g, q, p) for g in generators]
-    if num_vars == 3 and hyp is not None and all(len(g) == 1 for g in gens_q):
-        # every generator a pure power, or a mixed monomial that one divides
-        caps, mixed = _caps_and_mixed([next(iter(g)) for g in gens_q], 3)
+    caps, mixed = _caps_and_mixed([next(iter(g)) for g in gens_q if len(g) == 1],
+                                  num_vars)
+    non_monomial = [g for g in gens_q if len(g) > 1]
+    # h over exactly the pure powers x_1^c_1, ..., x_n^c_n
+    pure_caps = hyp is not None and not mixed and not non_monomial and None not in caps
+    mirror = _gorenstein_mirror(caps, poly_degree(hyp)) if pure_caps else None
+    if pure_caps and num_vars == 3:
         d = poly_degree(hyp)
         pure = [v for v in range(3) if tuple(d if i == v else 0 for i in range(3)) in hyp]
-        if not mixed and None not in caps:
-            if len(pure) == 3 == len(hyp):  # h = c_1 x^d + c_2 y^d + c_3 z^d
-                return "diagonal", _diagonal_lengths(p, caps, d)
-            # h containing a pure power x_v^d; v is the variable with the
-            # largest cap when there are several
-            if pure:
-                v = max(pure, key=lambda v: caps[v])
-                return "pure-power", _pure_power_lengths(p, hyp, caps, v)
-            # caps (x^Q, y^Q, z^Q) with Q a power of p: a shear over F_p
-            # changes no length and gives h a pure power (module docstring)
-            if len(set(caps)) == 1 and _is_power_of(caps[0], p) \
-                    and (found := _point_off_curve(hyp, p)) is not None:
-                i, point = found
-                sheared = _shear(hyp, p, i, point)
-                return "pure-power", _pure_power_lengths(p, sheared, caps, i)
-    return "walk", _walk_lengths(p, hyp, gens_q, num_vars)
+        if len(pure) == 3 == len(hyp):  # h = c_1 x^d + c_2 y^d + c_3 z^d
+            return "diagonal", _diagonal_lengths(p, caps, d), mirror
+        # h containing a pure power x_v^d; v is the variable with the
+        # largest cap when there are several
+        if pure:
+            v = max(pure, key=lambda v: caps[v])
+            return "pure-power", _pure_power_lengths(p, hyp, caps, v), mirror
+        # caps (x^Q, y^Q, z^Q) with Q a power of p: a shear over F_p
+        # changes no length and gives h a pure power (module docstring)
+        if len(set(caps)) == 1 and _is_power_of(caps[0], p) \
+                and (found := _point_off_curve(hyp, p)) is not None:
+            i, point = found
+            sheared = _shear(hyp, p, i, point)
+            return "pure-power", _pure_power_lengths(p, sheared, caps, i), mirror
+    return "walk", _walk_lengths(p, hyp, caps, mixed, non_monomial), mirror
 
 
 def graded_piece_length_raw(p: int, hypersurface: Optional[Poly],
@@ -677,34 +707,6 @@ def _sweep_bound(hypersurface: Optional[Poly], generators: Sequence[Poly],
     return q * gen_total + base + 1
 
 
-def _gorenstein_mirror(hypersurface: Optional[Poly], generators: Sequence[Poly],
-                       q: int) -> Optional[tuple[int, Callable[[int], int]]]:
-    """(N, e) with l_m = e(m) + l_(N-m) for every degree m, where
-    e(m) = t_m - t_(m-d), when h is given and the bracketed generators are
-    exactly the pure powers of every variable; None otherwise (module
-    docstring).  The caps are q times the generators' exponents."""
-    if hypersurface is None or any(len(g) != 1 for g in generators):
-        return None
-    num_vars = _num_vars(hypersurface, generators)
-    caps, mixed = _caps_and_mixed(
-        [tuple(q * x for x in next(iter(g))) for g in generators], num_vars)
-    if mixed or None in caps:
-        return None
-    # t[m]: the monomials of degree m with every exponent below its cap, the
-    # coefficients of the product of the 1 + z + ... + z^(c_i - 1)
-    t = [1]
-    for c in caps:
-        prefix = [0, *accumulate(t)]
-        t = [prefix[min(m + 1, len(t))] - prefix[max(0, m - c + 1)]
-             for m in range(len(t) + c - 1)]
-    s, d = len(t) - 1, poly_degree(hypersurface)
-
-    def excess(m: int) -> int:
-        return (t[m] if 0 <= m <= s else 0) - (t[m - d] if 0 <= m - d <= s else 0)
-
-    return s + d, excess
-
-
 def colength_profile(p: int, hypersurface: Optional[Poly],
                      generators: Sequence[Poly], q: int) -> ColengthProfile:
     """Sweep degrees upward until the first zero length.
@@ -716,8 +718,7 @@ def colength_profile(p: int, hypersurface: Optional[Poly],
     ceil(N/2), and the degrees below follow from the ones it ranked.
     """
     bound = _sweep_bound(hypersurface, generators, q)
-    _, length = quotient_lengths(p, hypersurface, generators, q)
-    mirror = _gorenstein_mirror(hypersurface, generators, q)
+    _, length, mirror = quotient_lengths(p, hypersurface, generators, q)
     start = 0 if mirror is None else (mirror[0] + 1) // 2
     upper: dict[int, int] = {}
     for m in range(start, bound + 1):
@@ -752,8 +753,7 @@ def top_nonzero_degree(p: int, hypersurface: Optional[Poly],
     gallops upward (steps 1, 2, 4, ... up to the sweep bound) and bisects.
     """
     hi = _sweep_bound(hypersurface, generators, q)
-    _, length = quotient_lengths(p, hypersurface, generators, q)
-    mirror = _gorenstein_mirror(hypersurface, generators, q)
+    _, length, mirror = quotient_lengths(p, hypersurface, generators, q)
     if mirror is not None:
         n_top, excess = mirror
         lo = (n_top + 1) // 2
@@ -835,6 +835,6 @@ def scaling_check(p: int, hypersurface: Optional[Poly], generators: Sequence[Pol
     by freshman's dream."""
     powers = [_literal_power(_literal_power(g, q0, p), q, p) for g in generators]
     top = _sweep_bound(hypersurface, generators, q0 * q)
-    _, lhs = quotient_lengths(p, hypersurface, powers, 1)
-    _, rhs = quotient_lengths(p, hypersurface, generators, q0 * q)
+    lhs = quotient_lengths(p, hypersurface, powers, 1)[1]
+    rhs = quotient_lengths(p, hypersurface, generators, q0 * q)[1]
     return all(lhs(m) == rhs(m) for m in ((top * i) // 10 for i in range(10)))

@@ -87,10 +87,6 @@ class Polynomial:
         return _ZERO_POLY
 
     @classmethod
-    def constant(cls, c: QLike) -> "Polynomial":
-        return cls([c])
-
-    @classmethod
     def monomial(cls, power: int, coeff: QLike = 1) -> "Polynomial":
         return cls([0] * power + [coeff])
 
@@ -432,9 +428,6 @@ class PiecewisePolynomial:
 
     def __mul__(self, other: "PiecewisePolynomial") -> "PiecewisePolynomial":
         return self._combine(other, lambda a, b: a * b)
-
-    def __neg__(self) -> "PiecewisePolynomial":
-        return self.scale(-1)
 
     def scale(self, c: QLike) -> "PiecewisePolynomial":
         c = as_fraction(c)

@@ -23,10 +23,21 @@ class TrinomialShapeError(ValueError):
     """Exponent data does not match either supported trinomial shape."""
 
 
-def _reject_collinear(mons: tuple[tuple[int, int, int], ...]) -> None:
-    """Three exponent vectors on one line make h a monomial times a form in
-    two monomials of degree >= 2, which splits over the algebraic closure:
-    the curve is reducible."""
+def _check_shape(mons: tuple[tuple[int, int, int], ...]) -> None:
+    """The checks both shapes share, on their three exponent vectors:
+    nonnegative, one degree d >= 3, distinct, and not collinear.  Three
+    vectors on one line make h a monomial times a form in two monomials of
+    degree >= 2, which splits over the algebraic closure: the curve is
+    reducible."""
+    if any(x < 0 for e in mons for x in e):
+        raise TrinomialShapeError("exponents must be nonnegative")
+    degrees = {sum(e) for e in mons}
+    if len(degrees) != 1:
+        raise TrinomialShapeError("the three monomials must share one degree")
+    if degrees.pop() < 3:
+        raise TrinomialShapeError("degree must be >= 3")
+    if len(set(mons)) < 3:
+        raise TrinomialShapeError("the three monomials must be distinct")
     u, v = ([x - y for x, y in zip(e, mons[0])] for e in mons[1:])
     if u[1] * v[2] == u[2] * v[1] and u[2] * v[0] == u[0] * v[2] \
             and u[0] * v[1] == u[1] * v[0]:
@@ -51,25 +62,14 @@ class TypeI:
     c2: int
 
     def __post_init__(self):
-        exps = (self.a1, self.a2, self.b1, self.b2, self.c1, self.c2)
-        if any(e < 0 for e in exps):
-            raise TrinomialShapeError("exponents must be nonnegative")
-        d = self.a1 + self.a2
-        if not (d == self.b1 + self.b2 == self.c1 + self.c2):
-            raise TrinomialShapeError("the three monomials must share one degree")
-        if d < 3:
-            raise TrinomialShapeError("degree must be >= 3")
-        if len(self.monomials()) < 3:
-            raise TrinomialShapeError("the three monomials must be distinct")
-        _reject_collinear(self.monomials())
+        _check_shape(self.monomials())
 
     @property
     def degree(self) -> int:
         return self.a1 + self.a2
 
     def monomials(self) -> tuple[tuple[int, int, int], ...]:
-        mons = ((self.a1, self.a2, 0), (0, self.b1, self.b2), (self.c2, 0, self.c1))
-        return tuple(dict.fromkeys(mons))
+        return ((self.a1, self.a2, 0), (0, self.b1, self.b2), (self.c2, 0, self.c1))
 
 
 @dataclass(frozen=True)
@@ -84,24 +84,14 @@ class TypeII:
     c: int
 
     def __post_init__(self):
-        exps = (self.d, self.a1, self.a2, self.a3, self.b, self.c)
-        if any(e < 0 for e in exps):
-            raise TrinomialShapeError("exponents must be nonnegative")
-        if self.a1 + self.a2 + self.a3 != self.d or self.b + self.c != self.d:
-            raise TrinomialShapeError("the three monomials must share one degree")
-        if self.d < 3:
-            raise TrinomialShapeError("degree must be >= 3")
-        if len(self.monomials()) < 3:
-            raise TrinomialShapeError("the three monomials must be distinct")
-        _reject_collinear(self.monomials())
+        _check_shape(self.monomials())
 
     @property
     def degree(self) -> int:
         return self.d
 
     def monomials(self) -> tuple[tuple[int, int, int], ...]:
-        mons = ((self.d, 0, 0), (self.a1, self.a2, self.a3), (0, self.b, self.c))
-        return tuple(dict.fromkeys(mons))
+        return ((self.d, 0, 0), (self.a1, self.a2, self.a3), (0, self.b, self.c))
 
 
 TrinomialCurve = Union[TypeI, TypeII]
@@ -287,6 +277,22 @@ def residue_representative(p: int, lambda_h: int) -> int:
     return min(r, 2 * lambda_h - r)
 
 
+def prime_class(kind: Union[Regular, Irregular], p: int) -> Optional[int]:
+    """The class of the prime p that the threshold reads: its
+    ``residue_representative`` modulo 2*lambda_h on a regular curve, None on
+    an irregular one, whose threshold does not depend on p.  Raises
+    ValueError when p is not prime or divides 2*lambda_h."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if isinstance(kind, Irregular):
+        return None
+    lambda_h = kind.invariants.lambda_h
+    l = residue_representative(p, lambda_h)
+    if gcd(l, 2 * lambda_h) != 1:
+        raise ValueError(f"prime {p} divides 2*lambda_h = {2 * lambda_h}")
+    return l
+
+
 def f_threshold(curve: TrinomialCurve, n: int, p: int) -> Fraction:
     """Exact F-threshold of (x,y,z) with respect to (x^n, y^n, z^n) on the
     trinomial curve, in characteristic p.
@@ -300,17 +306,12 @@ def f_threshold(curve: TrinomialCurve, n: int, p: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     d = curve.degree
     kind = classify(curve)
-    if isinstance(kind, Irregular):
+    l = prime_class(kind, p)
+    if l is None:
         return Fraction(3 * n, 2) + Fraction((2 * kind.multiplicity - d) * n, 2 * d)
-    inv = kind.invariants
-    l = residue_representative(p, inv.lambda_h)
-    if gcd(l, 2 * inv.lambda_h) != 1:
-        raise ValueError(f"prime {p} divides 2*lambda_h = {2 * inv.lambda_h}")
-    return _residue_row(inv, n, d, l).threshold_at(p)
+    return _residue_row(kind.invariants, n, d, l).threshold_at(p)
 
 
 @dataclass(frozen=True)

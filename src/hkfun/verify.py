@@ -162,7 +162,7 @@ def _case_profile_mirror() -> VerifyResult:
     hyp = oracle.trinomial_poly(cyclic(4))
     gens = oracle.variable_powers(3, 1)
     profile = oracle.colength_profile(p, hyp, gens, q)
-    _, length = oracle.quotient_lengths(p, hyp, gens, q)
+    length = oracle.quotient_lengths(p, hyp, gens, q)[1]
     ranked: dict[int, int] = {}
     while value := length(len(ranked)):
         ranked[len(ranked)] = value

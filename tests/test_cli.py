@@ -140,6 +140,16 @@ def test_samples_format(capsys):
     assert lines[3].split(",") == ["1", "1", "1.000", "1.000"]
 
 
+def test_samples_when_the_support_ends_at_the_first_breakpoint(capsys):
+    """One slope 6 at degree 3: the density's one breakpoint, -1, is also
+    the end of its support, so the window is [-1, 0]."""
+    code, out, _ = run_cli(capsys, "bundle", "--slopes", "6", "--ranks", "1",
+                           "--poldeg", "3", "--format", "samples", "--samples", "2",
+                           "--precision", "1")
+    assert code == 0
+    assert out.splitlines() == ["x,f,x_dec,f_dec", "-1,0,-1.0,0.0", "0,0,0.0,0.0"]
+
+
 def test_error_exit_is_one_line(capsys):
     code, out, err = run_cli(capsys, "volume", "--degrees", "0,1")
     assert code == 1
@@ -167,6 +177,12 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
 @pytest.mark.parametrize("argv, message", [
     (("trinomial", "--fermat", "4", "--table", "--prime", "4", "--format", "csv"),
      "4 is not prime"),
+    # the class check of the threshold holds for the table's column too
+    (("trinomial", "--fermat", "4", "--prime", "2"), "prime 2 divides 2*lambda_h = 8"),
+    (("trinomial", "--fermat", "4", "--table", "--prime", "2"),
+     "prime 2 divides 2*lambda_h = 8"),
+    (("trinomial", "--cyclic", "4", "--table", "--prime", "7"),
+     "prime 7 divides 2*lambda_h = 14"),
     (("density", "--degrees", "1,1", "--samples", "0", "--format", "samples"),
      "--samples must be >= 2, got 0"),
     (("volume", "--degrees", "1,2", "--samples", "-3", "--format", "samples"),
@@ -216,7 +232,8 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
     (("oracle", "--prime", "3", "--q", "3", "--op", "fthreshold"),
      "fthreshold needs a hypersurface"),
     (("oracle", "--prime", "3", "--q", "3", "--op", "fn"), "--x is required for op=fn"),
-], ids=["table-prime-4", "samples-0", "samples-negative", "samples-1",
+], ids=["table-prime-4", "prime-divides-2lambda", "table-prime-divides-2lambda",
+        "table-prime-divides-2lambda-cyclic", "samples-0", "samples-negative", "samples-1",
         "precision-trinomial", "x-without-fn", "vars-with-curve", "vars-0", "vars-negative",
         "mult-with-in", "mult-with-left", "n-with-gens", "precision-with-table",
         "precision-density-json", "precision-density-csv", "precision-oracle-profile",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import inspect
 import itertools
 import random
 import re
@@ -105,12 +106,20 @@ def test_prime_bound_of_the_int64_kernel():
     p = 2**31 - 1
     h = {(3, 0, 0): 1, (0, 3, 0): 1, (0, 2, 1): 1, (0, 1, 2): 1, (0, 0, 3): 1}
     gens = [{(5, 0, 0): 1}, {(0, 4, 0): 1}, {(0, 0, 4): 1}]
-    path, length = quotient_lengths(p, h, gens, 1)
+    path, length, _ = quotient_lengths(p, h, gens, 1)
     assert path == "pure-power"
     lengths = [length(m) for m in range(12)]
     assert lengths == [brute_graded_length(p, h, gens, 1, m, 3) for m in range(12)]
     with pytest.raises(ValueError, match="p < 2\\^31"):
         quotient_lengths(2147483659, h, gens, 1)
+
+
+def _walk(p, h, gens, q):
+    """The walk alone over S/(h, g_1^q, ..., g_t^q) in three variables,
+    whichever path ``quotient_lengths`` would take."""
+    gens_q = [oracle.frobenius_power(g, q, p) for g in gens]
+    caps, mixed = oracle._caps_and_mixed([next(iter(g)) for g in gens_q if len(g) == 1], 3)
+    return oracle._walk_lengths(p, h, caps, mixed, [g for g in gens_q if len(g) > 1])
 
 
 def test_graded_piece_examples():
@@ -181,6 +190,38 @@ def test_one_setup_per_quotient(monkeypatch):
             calls.clear()
             sweep(5, h, gens, 5)
             assert calls == gens
+
+
+def test_one_analysis_per_quotient(monkeypatch):
+    """A sweep and a bisection sort the bracketed generators into caps and
+    mixed monomials once, on every path, with and without h: the route and
+    the Gorenstein mirror read that one analysis.  The mirror is a function
+    of the caps and deg h alone."""
+    assert list(inspect.signature(oracle._gorenstein_mirror).parameters) == ["caps", "d"]
+    fermat4, cyclic4 = trinomial_poly(fermat(4)), trinomial_poly(cyclic(4))
+    cases = [("diagonal", True, fermat4, XYZ_VARS),
+             ("pure-power", True, QUADRIC_CONE, XYZ_VARS),
+             ("pure-power", True, cyclic4, XYZ_VARS),  # the shear over m^[5]
+             ("walk", True, cyclic4, variable_powers(3, 2)),  # caps 10: not a power of 5
+             ("walk", False, fermat4, variable_powers(3, 2) + [{(0, 1, 1): 1}]),  # yz survives
+             ("walk", False, fermat4, [{(1, 0, 0): 1, (0, 1, 0): 1}] + XYZ_VARS[1:]),
+             ("walk", False, None, XY_VARS),
+             ("walk", False, None, XYZ_VARS)]
+    calls = []
+    analyse = oracle._caps_and_mixed
+
+    def counted(*args):
+        calls.append(args)
+        return analyse(*args)
+
+    monkeypatch.setattr(oracle, "_caps_and_mixed", counted)
+    for path, mirrored, h, gens in cases:
+        route, _, mirror = quotient_lengths(5, h, gens, 5)
+        assert (route, mirror is not None) == (path, mirrored)
+        for sweep in (colength_profile, top_nonzero_degree):
+            calls.clear()
+            sweep(5, h, gens, 5)
+            assert len(calls) == 1, (path, h, sweep.__name__)
 
 
 def test_profile_quadric_cone():
@@ -258,6 +299,23 @@ def test_monomial_alpha_examples():
 def test_monomial_alpha_rejects_infinite_colength():
     with pytest.raises(ValueError):
         monomial_alpha(2, [{(2, 0): 1}, {(1, 1): 1}])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # (x^2, xy) in k[x, y]: y^m survives at every degree
+    (lambda: top_nonzero_degree(2, None, [{(2, 0): 1}, {(1, 1): 1}], 2), OracleError,
+     "no zero tail at the sweep bound; the ideal does not have finite colength"),
+    (lambda: fn_sample(3, None, XYZ_VARS, 3, Fraction(1)), ValueError,
+     "density samples are defined for two-dimensional pairs"),
+    (lambda: monomial_alpha(1, [{(2,): 1}]), ValueError,
+     "the support formula needs dimension >= 2"),
+    (lambda: monomial_alpha(2, [{(2, 0): 1, (0, 2): 1}, {(0, 3): 1}]), ValueError,
+     "generators must be monomials"),
+], ids=["top-without-zero-tail", "fn-not-two-dimensional", "alpha-one-variable",
+        "alpha-non-monomial"])
+def test_oracle_rejections(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_scaling_check():
@@ -383,11 +441,9 @@ def _is_diagonal(h):
 def test_pure_power_path_matches_walk_and_definition(case):
     p, q, ns, h = case
     gens = [{tuple(n if k == i else 0 for k in range(3)): 1} for i, n in enumerate(ns)]
-    hyp = normalize_poly(h, p)
-    gens_q = [oracle.frobenius_power(g, q, p) for g in gens]
-    path, length = quotient_lengths(p, h, gens, q)
+    path, length, _ = quotient_lengths(p, h, gens, q)
     assert path == ("diagonal" if _is_diagonal(h) else "pure-power")
-    walk = oracle._walk_lengths(p, hyp, gens_q, 3)
+    walk = _walk(p, normalize_poly(h, p), gens, q)
     for m in range(sum(ns) * q + poly_degree(h) + 2):
         fast = length(m)
         assert fast == walk(m)
@@ -423,7 +479,7 @@ def test_diagonal_path_matches_pure_power_and_definition(case):
     its independent slow cross-check, and the definition."""
     p, q, ns, h = case
     gens = [{tuple(n if k == i else 0 for k in range(3)): 1} for i, n in enumerate(ns)]
-    path, length = quotient_lengths(p, h, gens, q)
+    path, length, _ = quotient_lengths(p, h, gens, q)
     assert path == "diagonal"
     caps = [n * q for n in ns]
     slow = oracle._pure_power_lengths(p, normalize_poly(h, p), caps, 0)
@@ -500,10 +556,9 @@ def test_shear_route_matches_walk_and_definition(case):
     gens = variable_powers(3, n)
     cap = n * q
     power_of_p = any(cap == p ** k for k in range(5))
-    path, length = quotient_lengths(p, h, gens, q)
+    path, length, _ = quotient_lengths(p, h, gens, q)
     assert path == ("pure-power" if power_of_p and not _vanishes_on_plane(h, p) else "walk")
-    walk = oracle._walk_lengths(p, normalize_poly(h, p),
-                                [oracle.frobenius_power(g, q, p) for g in gens], 3)
+    walk = _walk(p, normalize_poly(h, p), gens, q)
     for m in range(3 * cap + poly_degree(h) + 2):
         fast = length(m)
         assert fast == walk(m)
@@ -576,7 +631,7 @@ def walk_cases(draw):
 @given(walk_cases())
 def test_walk_matches_definition(case):
     p, q, gens, h = case
-    walk = oracle._walk_lengths(p, h, [oracle.frobenius_power(g, q, p) for g in gens], 3)
+    walk = _walk(p, h, gens, q)
     top = q * sum(sum(next(iter(g))) for g in gens[:3]) + (poly_degree(h) if h else 3) + 1
     for m in range(top + 1):
         assert walk(m) == brute_graded_length(p, h, gens, q, m, 3)
@@ -617,7 +672,7 @@ def merged_walk_cases(draw):
           {(2, 0, 0): 1, (0, 1, 1): 2, (0, 0, 2): 1}))
 def test_merged_walk_matches_definition(case):
     p, q, nv, gens, h = case
-    path, length = quotient_lengths(p, h, gens, q, nv)
+    path, length, _ = quotient_lengths(p, h, gens, q, nv)
     assert path == "walk"
     for m in range(12):
         assert length(m) == brute_graded_length(p, h, gens, q, m, nv)
@@ -649,12 +704,12 @@ def asked_degrees():
     real = oracle.quotient_lengths
 
     def recorded(*args, **kwargs):
-        path, length = real(*args, **kwargs)
+        path, length, mirror = real(*args, **kwargs)
 
         def counted(m):
             asked.append(m)
             return length(m)
-        return path, counted
+        return path, counted, mirror
 
     oracle.quotient_lengths = recorded
     try:
@@ -722,7 +777,7 @@ def test_mirror_matches_every_degree(case):
     ceil(N/2) up, against ``length`` at every degree and the definition;
     and the degrees they ask for start at ceil(N/2), N = sum(c_i - 1) + d."""
     p, q, nv, gens, h = case
-    path, length = quotient_lengths(p, h, gens, q, nv)
+    path, length, _ = quotient_lengths(p, h, gens, q, nv)
     if nv == 3 and _is_diagonal(h):
         assert path == "diagonal"
     every = []

@@ -42,6 +42,13 @@ def test_shape_validation():
         TypeII(4, 0, 4, 0, 4, 1)  # b + c != d
     with pytest.raises(TrinomialShapeError):
         TypeII(4, 4, 0, 0, 0, 4)  # x^d repeated: monomials collide
+    with pytest.raises(TrinomialShapeError, match="^the three monomials must be distinct$"):
+        TypeI(0, 4, 4, 0, 2, 2)  # y^4 twice
+    for shape, exps in ((TypeI, (-1, 5, 0, 4, 2, 2)), (TypeII, (4, -1, 3, 2, 2, 2))):
+        with pytest.raises(TrinomialShapeError, match="^exponents must be nonnegative$"):
+            shape(*exps)
+    with pytest.raises(TrinomialShapeError, match="^degree must be >= 3$"):
+        TypeII(2, 0, 2, 0, 0, 2)  # x^2 + y^2 + z^2
     # collinear exponent vectors: a reducible curve
     with pytest.raises(TrinomialShapeError, match="collinear"):
         TypeI(0, 4, 1, 3, 4, 0)  # y^4 + y z^3 + z^4: x is missing
