@@ -10,6 +10,11 @@ supported on (-inf, 1 - a_min/d]: linear left tail, convex and decreasing,
 vanishing exactly at the largest breakpoint.  A two-dimensional pair whose
 ideal is generated by mu forms of one degree has density f_V - f_M for the
 syzygy bundle V and the free bundle M of the generators, clipped to [0, inf).
+
+Both are built in one pass from the right over signed slope data: a bundle's
+slopes with their ranks, and for the pair V's slopes with +rank and M's one
+slope with -mu.  Every piece is linear, c0 + c1*x, and crossing the cut x_k
+leftwards adds r_k*(d - a_k) to c0 and -d*r_k to c1.
 """
 
 from __future__ import annotations
@@ -67,6 +72,29 @@ class Polarization:
             raise ValueError("polarization degree must be >= 1")
 
 
+def _slope_pieces(data: tuple[tuple[Fraction, int], ...], d: int
+                  ) -> tuple[list[Fraction], list[Polynomial]]:
+    """The cuts x_k = 1 - a_k/d, increasing, and the linear segments of
+    d * sum_k r_k * max(x_k - x, 0), segments[i] left of cuts[i], over the
+    pairs (a_k, r_k) of ``data`` in nonincreasing slope order.  Ranks may be
+    negative; equal slopes share one cut."""
+    cuts: list[Fraction] = []  # right to left
+    segments: list[Polynomial] = []
+    c0, c1 = Fraction(0), 0
+    for a, r in reversed(data):
+        x = 1 - a / d
+        c0 += r * (d - a)
+        c1 -= d * r
+        if cuts and cuts[-1] == x:
+            segments[-1] = Polynomial([c0, c1])
+        else:
+            cuts.append(x)
+            segments.append(Polynomial([c0, c1]))
+    cuts.reverse()
+    segments.reverse()
+    return cuts, segments
+
+
 def bundle_density(hn: HNData, pol: Polarization) -> PiecewisePolynomial:
     """Piecewise-linear density of a bundle with the given slope data.
 
@@ -75,19 +103,8 @@ def bundle_density(hn: HNData, pol: Polarization) -> PiecewisePolynomial:
     give the density in characteristic p; ordinary slopes give the
     large-characteristic limit.
     """
-    d = pol.degree
-    cuts = [1 - a / d for a in hn.slopes]  # increasing since slopes decrease
-    segments: list[Polynomial] = []
-    acc = Polynomial.zero()
-    # build from the right: past the last cut the function is zero; moving
-    # left across cut x_k adds d*r_k*(x_k - x)
-    for x_k, r_k in zip(reversed(cuts), reversed(hn.ranks)):
-        acc = acc + Polynomial([x_k * r_k * d, -r_k * d])
-        segments.append(acc)
-    segments.reverse()  # segments[i] applies left of cuts[i]
-    left_tail = segments[0]
-    pieces = segments[1:]
-    return PiecewisePolynomial(cuts, pieces, left_tail, Polynomial.zero())
+    cuts, segments = _slope_pieces(tuple(zip(hn.slopes, hn.ranks)), pol.degree)
+    return PiecewisePolynomial(cuts, segments[1:], segments[0], Polynomial.zero())
 
 
 def bundle_alpha(hn: HNData, pol: Polarization) -> Fraction:
@@ -125,6 +142,11 @@ class SyzygySpec:
         # slope bookkeeping: a_min <= mean slope of V < slope of M
         if not (self.hn_v.min_slope <= self.hn_v.mean_slope < self.free_slope):
             raise ValueError("slope ordering a_min <= mu(V) < mu(M) violated")
+        # V is a subsheaf of M, a sum of copies of one line bundle, so no
+        # subsheaf of V is steeper than M
+        if self.hn_v.slopes[0] > self.free_slope:
+            raise ValueError(f"largest slope {self.hn_v.slopes[0]} of V exceeds "
+                             f"the slope {self.free_slope} of M")
 
     @property
     def free_slope(self) -> Fraction:
@@ -137,10 +159,14 @@ class SyzygySpec:
 
 def syzygy_pair_density(spec: SyzygySpec) -> PairDensity:
     """Pair density f_V - f_M restricted to [0, inf), as a dimension-2 pair of
-    multiplicity d.  The difference is verified nonnegative exactly, piece by
-    piece, before the density is returned."""
-    f = bundle_density(spec.hn_v, spec.pol) - bundle_density(spec.hn_m, spec.pol)
-    f = f.truncate_before(0)
+    multiplicity d, built in one pass: no slope of V exceeds M's, so M's
+    slope with rank -mu leads V's slope data.  The difference is verified
+    nonnegative exactly, piece by piece, before the density is returned."""
+    data = ((spec.free_slope, -spec.mu), *zip(spec.hn_v.slopes, spec.hn_v.ranks))
+    cuts, segments = _slope_pieces(data, spec.pol.degree)
+    # every slope is at most mu(M) = d*(1 - gen_degree) <= 0, so every cut is
+    # at least gen_degree >= 1: clipping at 0 adds the breakpoint 0 alone
+    f = PiecewisePolynomial([Fraction(0), *cuts], segments)
     if not f.is_nonnegative():
         raise ValueError("syzygy difference went negative; slope data is not "
                          "realizable for a pair")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .piecewise import PiecewisePolynomial, Polynomial, is_positive_on_open
+from .piecewise import PiecewisePolynomial, Polynomial, is_positive_on_open, positive_between
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,12 @@ def symmetry_class(p: PairDensity) -> SymmetryClass:
     """Shape classification of the density of (R, m).
 
     ``SYMMETRIC_AT_HALF_D`` when f(x) = f(d - x) exactly.  For d = 2,
-    ``STRICTLY_LEFT_HEAVY`` when f(1-y) > f(1+y) for every y in (0,1), decided
-    by an exact piecewise sign analysis: on each open interval between the
-    cuts |b - 1| in (0, 1) of the breakpoints b, and at each interior cut.
+    ``STRICTLY_LEFT_HEAVY`` when g(y) = f(1-y) - f(1+y) > 0 for every y in
+    (0,1), decided exactly at and between the cuts |b - 1| in (0, 1) of the
+    breakpoints b.  f is continuous, so g has one value at each cut.  Where
+    both segments of f that meet a cut interval are linear, so is g there,
+    and its end values decide it; only an interval with a segment of degree
+    >= 2 builds g and runs a Sturm sign analysis.
     """
     f, d = p.f, p.dim
     # canonical form: f.reflect(d) has exactly the breakpoints d - b, reversed
@@ -122,17 +125,23 @@ def symmetry_class(p: PairDensity) -> SymmetryClass:
         return SymmetryClass.SYMMETRIC_AT_HALF_D
     if d != 2:
         return SymmetryClass.OTHER
-    lo, hi = Fraction(0), Fraction(1)
-    cuts = [lo] + sorted({abs(b - 1) for b in bps if 0 < b < 2 and b != 1}) + [hi]
-    for u, v in zip(cuts, cuts[1:]):
-        # on (u, v) no breakpoint of f lies strictly between 1 - v and 1 - u,
-        # nor between 1 + u and 1 + v
-        diff = (f.segment_at(1 - v).compose_affine(-1, 1)
-                - f.segment_at(1 + u).compose_affine(1, 1))
-        if not is_positive_on_open(diff, u, v):
-            return SymmetryClass.OTHER
-        # f is continuous (dim 2), so diff(v) = f(1 - v) - f(1 + v) at a cut
-        if v < hi and diff(v) <= 0:
+    cuts = [Fraction(0)] + sorted({abs(b - 1) for b in bps if 0 < b < 2 and b != 1}) \
+        + [Fraction(1)]
+    # on (u, v) no breakpoint of f lies strictly between 1 - v and 1 - u, nor
+    # between 1 + u and 1 + v, so f is the segment right of 1 - v on the
+    # first range and the one right of 1 + u on the second; at a cut y the
+    # segments right of 1 - y and of 1 + y hold f(1 - y) and f(1 + y)
+    lefts = [f.segment_at(1 - y) for y in cuts]
+    rights = [f.segment_at(1 + y) for y in cuts]
+    g = [left(1 - y) - right(1 + y) for left, right, y in zip(lefts, rights, cuts)]
+    if any(v <= 0 for v in g[1:-1]):
+        return SymmetryClass.OTHER
+    for u, v, gu, gv, left, right in zip(cuts, cuts[1:], g, g[1:], lefts[1:], rights):
+        if left.degree <= 1 and right.degree <= 1:
+            if not positive_between(gu, gv):
+                return SymmetryClass.OTHER
+        elif not is_positive_on_open(left.compose_affine(-1, 1)
+                                     - right.compose_affine(1, 1), u, v):
             return SymmetryClass.OTHER
     return SymmetryClass.STRICTLY_LEFT_HEAVY
 

@@ -107,6 +107,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -592,12 +593,15 @@ def _gorenstein_mirror(caps: Sequence[int], d: int) -> Mirror:
     S/(h, x_1^c_1, ..., x_n^c_n), deg h = d, where e(m) = t_m - t_(m-d)
     (module docstring)."""
     # t[m]: the monomials of degree m with every exponent below its cap, the
-    # coefficients of the product of the 1 + z + ... + z^(c_i - 1)
+    # coefficients of the product of the 1 + z + ... + z^(c_i - 1).  A factor
+    # turns t into its window sums, for m < n + c - 1 (n = len(t)),
+    # t'[m] = P[min(m + 1, n)] - P[max(0, m - c + 1)] over the prefix sums P
+    # of t: two shifted copies of P
     t = [1]
     for c in caps:
         prefix = [0, *accumulate(t)]
-        t = [prefix[min(m + 1, len(t))] - prefix[max(0, m - c + 1)]
-             for m in range(len(t) + c - 1)]
+        t = list(map(operator.sub, prefix[1:] + [prefix[-1]] * (c - 1),
+                     [0] * (c - 1) + prefix[:-1]))
     s = len(t) - 1
 
     def excess(m: int) -> int:

@@ -17,13 +17,21 @@ shortcut rests on an argument, not on a tolerance:
 - ``PiecewisePolynomial._combine`` merges the two sorted breakpoint tuples in
   one pass and steps through both segment lists alongside, in place of a
   sorted set union and two bisections per breakpoint.
-- ``Polynomial.__call__`` starts Horner at the leading coefficient,
+- ``Polynomial.__call__`` runs Horner from the leading coefficient on integer
+  numerators over one running denominator and makes one Fraction at the
+  end: lowest terms are unique, so one reduction at the end gives the
+  Fraction that a reduction after every step gives.
   ``Polynomial.__sub__`` subtracts coefficient lists directly, and
   ``Polynomial`` keeps Fraction coefficients as they are.
+- Pieces of degree <= 1 are decided by their end values.  The trapezoid rule
+  is exact for degree <= 1, so ``PiecewisePolynomial.integrate`` builds no
+  antiderivative for them.  A linear piece has its extremes at its ends, so
+  ``positive_between`` decides it from its two end values; both
+  ``is_positive_on_open`` (for a p of degree below 2, which
+  ``is_nonneg_on_closed`` passes on unchanged) and ``symmetry_class`` call
+  it.  Every piece of a bundle or syzygy density is linear.
 - ``is_nonneg_on_closed`` tests the odd-multiplicity part of p on (a, b): p
   over it is a square, and it is squarefree, so its roots are p's sign changes.
-  ``is_positive_on_open`` decides a p of degree below 2 by its values at the
-  ends, since it is monotone; most pieces the densities check are linear.
 - Canonical form makes two checks of ``hkfun.density`` local.  An affine
   substitution maps distinct neighbouring segments to distinct ones, so
   ``f.reflect(c)`` has exactly the breakpoints c - b in reverse order, and a
@@ -32,9 +40,11 @@ shortcut rests on an argument, not on a tolerance:
   exactly when its left tail is zero and its first breakpoint, if any, is
   >= 0; this is ``f == f.truncate_before(0)`` without building either side.
 - Continuity makes the dimension-2 symmetry test local.  Between consecutive
-  cuts |b - 1| in (0, 1) of the breakpoints b, f(1 - y) - f(1 + y) is the
-  difference of two composed segments, and at a cut its value is the limit
-  of that polynomial, so no whole composition or subtraction is built.
+  cuts |b - 1| in (0, 1) of the breakpoints b, g(y) = f(1 - y) - f(1 + y) is
+  the difference of two composed segments, and at a cut it has one value,
+  the same from both sides, read once from f.  Where both segments are
+  linear, g is too, and its values at the two cuts decide its sign; only a
+  segment of degree >= 2 makes ``symmetry_class`` build g and run Sturm.
 """
 
 from __future__ import annotations
@@ -100,14 +110,28 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x: QLike) -> Fraction:
-        x = as_fraction(x)
+        # Horner on integer numerators over one running denominator: the
+        # value is num/den with den = x's denominator^k times the
+        # coefficients' denominators, and one Fraction normalises it
+        if isinstance(x, int):
+            n, d = x, 1
+        else:
+            x = as_fraction(x)
+            n, d = x.numerator, x.denominator
         cs = self.coeffs
-        if not cs:
-            return Fraction(0)
-        acc = cs[-1]
-        for i in range(len(cs) - 2, -1, -1):
-            acc = acc * x + cs[i]
-        return acc
+        if len(cs) < 2:
+            return cs[0] if cs else Fraction(0)
+        num, den = cs[-1].numerator, cs[-1].denominator
+        for c in cs[-2::-1]:
+            num *= n
+            den *= d
+            b = c.denominator
+            if b == 1:
+                num += c.numerator * den
+            else:
+                num = num * b + c.numerator * den
+                den *= b
+        return Fraction(num, den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
@@ -265,15 +289,20 @@ def count_roots_open(p: Polynomial, a: QLike, b: QLike) -> int:
     return n
 
 
+def positive_between(lo: Fraction, hi: Fraction) -> bool:
+    """Exact test that a polynomial of degree below 2 with values lo and hi at
+    the ends of an interval is > 0 on its interior: it is monotone, and zero
+    at one end at most unless it is zero."""
+    return lo >= 0 and hi >= 0 and (lo > 0 or hi > 0)
+
+
 def is_positive_on_open(p: Polynomial, a: QLike, b: QLike) -> bool:
     """Exact test: p(x) > 0 for all x in the open interval (a, b)."""
     a, b = as_fraction(a), as_fraction(b)
     if a >= b:
         return True
     if p.degree < 2:
-        # monotone, and zero at one end at most unless p is zero
-        lo, hi = p(a), p(b)
-        return lo >= 0 and hi >= 0 and (lo > 0 or hi > 0)
+        return positive_between(p(a), p(b))
     if count_roots_open(p, a, b) > 0:
         return False
     return p((a + b) / 2) > 0
@@ -446,8 +475,12 @@ class PiecewisePolynomial:
             left = a if lo is None else max(a, lo)
             right = b if hi is None else min(b, hi)
             if left < right and not seg.is_zero:
-                anti = seg.antiderivative()
-                total += anti(right) - anti(left)
+                if seg.degree <= 1:
+                    # the trapezoid rule is exact for degree <= 1
+                    total += (right - left) * (seg(left) + seg(right)) / 2
+                else:
+                    anti = seg.antiderivative()
+                    total += anti(right) - anti(left)
         return total
 
     def support_sup(self) -> Optional[Fraction]:

@@ -125,7 +125,9 @@ def coordinate_multiplicities(curve: TrinomialCurve) -> tuple[int, int, int]:
 @dataclass(frozen=True)
 class TrinomialInvariants:
     """The four positive integers attached to a regular trinomial, with their
-    derived quantities."""
+    derived quantities ``common_factor`` (the gcd of the four) and
+    ``lambda_h`` = lam / common_factor, computed once when the instance is
+    made; they are not fields, so equality and repr read the four alone."""
 
     alpha: int
     beta: int
@@ -137,14 +139,9 @@ class TrinomialInvariants:
             raise TrinomialHypothesisError(
                 "invariants must all be positive; this curve is outside the "
                 "supported regular-trinomial class")
-
-    @property
-    def common_factor(self) -> int:
-        return gcd(gcd(self.alpha, self.beta), gcd(self.nu, self.lam))
-
-    @property
-    def lambda_h(self) -> int:
-        return self.lam // self.common_factor
+        a = gcd(self.alpha, self.beta, self.nu, self.lam)
+        object.__setattr__(self, "common_factor", a)
+        object.__setattr__(self, "lambda_h", self.lam // a)
 
 
 @dataclass(frozen=True)

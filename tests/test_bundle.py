@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_syzygy_spec
 from hkfun.bundle import (
@@ -109,6 +110,16 @@ def test_syzygy_spec_validation():
     with pytest.raises(ValueError):
         SyzygySpec(mu=3, gen_degree=1, pol=Polarization(2),
                    hn_v=HNData((Fraction(-2),), (2,)))  # wrong degree
+    # V is a subsheaf of M: no slope of V above mu(M) = 0
+    with pytest.raises(ValueError, match="^largest slope 2 of V exceeds the slope 0 of M$"):
+        SyzygySpec(mu=3, gen_degree=1, pol=Polarization(2),
+                   hn_v=HNData((Fraction(2), Fraction(-4)), (1, 1)))
+    with pytest.raises(ValueError, match="^largest slope -1/2 of V exceeds the slope -1 of M$"):
+        SyzygySpec(mu=3, gen_degree=2, pol=Polarization(1),
+                   hn_v=HNData((Fraction(-1, 2), Fraction(-7, 2)), (1, 1)))
+    # equality is allowed: a summand of slope mu(M)
+    SyzygySpec(mu=3, gen_degree=1, pol=Polarization(2),
+               hn_v=HNData((Fraction(0), Fraction(-2)), (1, 1)))
 
 
 def test_dichotomy_on_random_syzygy_data(rng):
@@ -117,3 +128,22 @@ def test_dichotomy_on_random_syzygy_data(rng):
         cls = symmetry_class(pair)
         assert cls in (SymmetryClass.SYMMETRIC_AT_HALF_D,
                        SymmetryClass.STRICTLY_LEFT_HEAVY)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2 ** 32).map(lambda seed: random_syzygy_spec(random.Random(seed))))
+# a V slope of 0 = mu(M): V's cut meets M's cut at 1
+@example(SyzygySpec(mu=3, gen_degree=1, pol=Polarization(2),
+                    hn_v=HNData((Fraction(0), Fraction(-2)), (1, 1))))
+@example(SyzygySpec(mu=5, gen_degree=1, pol=Polarization(3),
+                    hn_v=HNData((Fraction(0), Fraction(-1)), (1, 3))))
+@example(SyzygySpec(mu=3, gen_degree=2, pol=Polarization(1),
+                    hn_v=HNData((Fraction(-1), Fraction(-3)), (1, 1))))
+@example(SyzygySpec(mu=3, gen_degree=2, pol=Polarization(2),
+                    hn_v=HNData((Fraction(-4),), (2,))))
+def test_one_pass_syzygy_density_matches_difference(spec):
+    """The one-pass builder against the two bundle densities subtracted and
+    truncated at 0."""
+    f = (bundle_density(spec.hn_v, spec.pol)
+         - bundle_density(spec.hn_m, spec.pol)).truncate_before(0)
+    assert syzygy_pair_density(spec).f == f

@@ -232,6 +232,8 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
     (("oracle", "--prime", "3", "--q", "3", "--op", "fthreshold"),
      "fthreshold needs a hypersurface"),
     (("oracle", "--prime", "3", "--q", "3", "--op", "fn"), "--x is required for op=fn"),
+    (("syzygy", "--mu", "3", "--d0", "1", "--poldeg", "2", "--slopes", "2,-4", "--ranks", "1,1"),
+     "largest slope 2 of V exceeds the slope 0 of M"),
 ], ids=["table-prime-4", "prime-divides-2lambda", "table-prime-divides-2lambda",
         "table-prime-divides-2lambda-cyclic", "samples-0", "samples-negative", "samples-1",
         "precision-trinomial", "x-without-fn", "vars-with-curve", "vars-0", "vars-negative",
@@ -240,7 +242,7 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
         "precision-oracle-fn", "precision-oracle-csv", "precision-trinomial-csv",
         "gens-empty", "n-with-empty-gens", "hypersurface-zero", "sign-without-term",
         "typeI-collinear", "typeII-collinear", "oracle-collinear",
-        "fthreshold-without-hypersurface", "fn-without-x"])
+        "fthreshold-without-hypersurface", "fn-without-x", "syzygy-steeper-than-free"])
 def test_invalid_option_is_one_line_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1

@@ -240,11 +240,51 @@ def linear_densities(draw):
     return linear_pair([(Fraction(0), 0)] + nodes)
 
 
+@st.composite
+def curved_densities(draw):
+    """A ``linear_densities`` density with a bump k*(x - a)(x - b) added on
+    some of its pieces [a, b): continuous, and with at least one quadratic
+    piece, so that the symmetry test builds g and runs Sturm there."""
+    f = draw(linear_densities()).f
+    bounds = list(zip(f.breakpoints, f.breakpoints[1:]))
+    bumped = draw(st.sets(st.integers(0, len(bounds) - 1), min_size=1))
+    pieces = [seg + Polynomial([a * b, -a - b, 1]) * draw(st.integers(-6, 6).filter(bool))
+              if i in bumped else seg
+              for i, (seg, (a, b)) in enumerate(zip(f.pieces, bounds))]
+    return PairDensity(dim=2, mult=1, f=PiecewisePolynomial(f.breakpoints, pieces))
+
+
+# no breakpoint in (0, 2) but 1, so (0, 1) is the one cut interval, and
+# g(y) = f(1 - y) - f(1 + y) is 0 on all of it: a tent on [0, 2] and a
+# second one past 2, linear, and with bumps that g cancels
+VANISHING_G_NODES = [(Fraction(x, 4), y) for x, y in [(0, 0), (4, 1), (8, 0), (9, 1), (10, 0)]]
+
+
+def vanishing_g_pairs():
+    linear = linear_pair(VANISHING_G_NODES)
+    f = linear.f
+    bumps = [Polynomial([0, -1, 1]), Polynomial([2, -3, 1])]  # x(x - 1), (x - 1)(x - 2)
+    curved = PiecewisePolynomial(f.breakpoints, [f.pieces[0] + bumps[0],
+                                                 f.pieces[1] + bumps[1], *f.pieces[2:]])
+    return [linear, PairDensity(dim=2, mult=1, f=curved)]
+
+
+def test_symmetry_other_where_g_vanishes_on_a_cut_interval():
+    for pair in vanishing_g_pairs():
+        f = pair.f
+        assert [b for b in f.breakpoints if 0 < b < 2] == [1]
+        assert all(f(1 - y) == f(1 + y) for y in (Fraction(k, 16) for k in range(17)))
+        assert f != f.reflect(2)
+        assert symmetry_class(pair) is SymmetryClass.OTHER
+        assert _symmetry_by_reflection(pair) is SymmetryClass.OTHER
+
+
 SYMMETRY_CASES = st.one_of(
     st.integers(0, 2 ** 32).map(lambda seed: syzygy_pair_density(
         random_syzygy_spec(random.Random(seed)))),
     pair_densities(),
     linear_densities(),
+    curved_densities(),
 )
 
 

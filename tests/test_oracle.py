@@ -192,6 +192,30 @@ def test_one_setup_per_quotient(monkeypatch):
             assert calls == gens
 
 
+def _mirror_by_comprehension(caps, d):
+    """(N, e) of ``oracle._gorenstein_mirror`` with the t table filled one
+    entry at a time, a min and a max per entry."""
+    t = [1]
+    for c in caps:
+        prefix = [0, *itertools.accumulate(t)]
+        t = [prefix[min(m + 1, len(t))] - prefix[max(0, m - c + 1)]
+             for m in range(len(t) + c - 1)]
+    s = len(t) - 1
+    return s + d, lambda m: (t[m] if 0 <= m <= s else 0) - (t[m - d] if 0 <= m - d <= s else 0)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.integers(1, 30), min_size=2, max_size=4), st.integers(1, 6))
+@example([1, 1], 1)
+@example([1, 7, 3], 4)
+@example([5, 1, 1, 9], 2)
+def test_mirror_table_matches_comprehension(caps, d):
+    n, excess = oracle._gorenstein_mirror(caps, d)
+    n_ref, excess_ref = _mirror_by_comprehension(caps, d)
+    assert n == n_ref
+    assert [excess(m) for m in range(-2, n + 3)] == [excess_ref(m) for m in range(-2, n + 3)]
+
+
 def test_one_analysis_per_quotient(monkeypatch):
     """A sweep and a bisection sort the bracketed generators into caps and
     mixed monomials once, on every path, with and without h: the route and

@@ -4,12 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import combine_by_lookup, subtract_by_negation
 from hkfun.piecewise import (
     PiecewisePolynomial,
     Polynomial,
+    _cauchy_root_bound,
     _odd_part,
     as_fraction,
     count_roots_open,
@@ -205,6 +206,12 @@ def piecewise_polynomials(draw, points=RATIONALS, polynomials=POLYNOMIALS):
     return PiecewisePolynomial(breakpoints, pieces, left, right)
 
 
+def _value(poly, x):
+    """poly(x) as the sum of c_i * x^i, written apart from Horner."""
+    x = as_fraction(x)
+    return sum((c * x ** i for i, c in enumerate(poly.coeffs)), Fraction(0))
+
+
 # breakpoints on a grid of 13 points and pieces from a small pool, so that two
 # functions share breakpoints and pieces cancel or coincide
 GRID_POINTS = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
@@ -221,9 +228,14 @@ def test_combine_matches_lookup_merge(f, g):
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(POLYNOMIALS, POLYNOMIALS, RATIONALS)
+@given(POLYNOMIALS, POLYNOMIALS,
+       st.one_of(st.integers(-30, 30), RATIONALS, RATIONALS.map(fraction_str)))
 def test_polynomial_eval_and_subtract_match_definition(p, q, x):
-    assert p(x) == sum((c * x ** i for i, c in enumerate(p.coeffs)), Fraction(0))
+    """Horner over one denominator against the sum of c_i * x^i, at an int, a
+    Fraction and a "num/den" string."""
+    value = p(x)
+    assert type(value) is Fraction
+    assert value == _value(p, x)
     assert p - q == subtract_by_negation(p, q)
 
 
@@ -388,3 +400,51 @@ def test_canonical_form_rebuilds_equal(f, cut):
         segs = [f.segment_at(x) for x in bps]
         split = PiecewisePolynomial(bps, segs[:-1], f.left_tail, f.right_tail)
         assert split == f
+
+
+# -- the end-value shortcuts against their slow forms ---------------------------
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(piecewise_polynomials(GRID_POINTS, st.lists(SMALL_RATIONALS, max_size=5).map(Polynomial)),
+       GRID_POINTS, SMALL_RATIONALS)
+def test_integrate_matches_antiderivative_sum(f, a, b):
+    """Pieces of degree 0-4: the trapezoid rule on the linear ones, the
+    antiderivative on the rest, against the antiderivative everywhere."""
+    a, b = sorted((a, b))
+    total = Fraction(0)
+    for lo, hi, seg in f.iter_pieces():
+        left = a if lo is None else max(a, lo)
+        right = b if hi is None else min(b, hi)
+        if left < right:
+            anti = seg.antiderivative()
+            total += _value(anti, right) - _value(anti, left)
+    assert f.integrate(a, b) == total
+
+
+def _nonnegative_piece_by_piece(f):
+    """is_nonnegative the slow way, without deciding a piece of degree below
+    2 by its end values: on every piece, a tail on a window past every real
+    root of its polynomial, the odd part has no root inside and is positive
+    at the midpoint."""
+    for lo, hi, seg in f.iter_pieces():
+        if seg.is_zero:
+            continue
+        if lo is None or hi is None:
+            bound = _cauchy_root_bound(seg)
+            lo = lo if lo is not None else min(hi if hi is not None else 0, -bound) - 1
+            hi = hi if hi is not None else max(lo, bound) + 1
+        odd = _odd_part(seg)
+        if count_roots_open(odd, lo, hi) or odd((lo + hi) / 2) <= 0:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(piecewise_polynomials(GRID_POINTS, st.lists(st.integers(-1, 3), max_size=3)
+                             .map(Polynomial)))
+@example(tent_function())
+@example(PiecewisePolynomial([0, 1, 2], [Polynomial([0, 1]), Polynomial([1, -1])]))
+@example(PiecewisePolynomial.on_interval(0, 2, Polynomial([0, -1, 1])))
+def test_is_nonnegative_matches_root_count_per_piece(f):
+    assert f.is_nonnegative() == _nonnegative_piece_by_piece(f)

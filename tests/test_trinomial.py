@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 from math import floor, gcd
@@ -92,6 +93,19 @@ def test_fermat_classification():
     inv = kind.invariants
     assert (inv.alpha, inv.beta, inv.nu, inv.lam) == (4, 4, 4, 16)
     assert inv.lambda_h == 4
+
+
+def test_invariants_derive_once_and_keep_their_fields():
+    """common_factor and lambda_h are set when the instance is made; the
+    fields, equality and repr are the four invariants alone."""
+    inv = TrinomialInvariants(alpha=6, beta=4, nu=2, lam=10)
+    assert (inv.common_factor, inv.lambda_h) == (2, 5)
+    assert [f.name for f in dataclasses.fields(inv)] == ["alpha", "beta", "nu", "lam"]
+    assert repr(inv) == "TrinomialInvariants(alpha=6, beta=4, nu=2, lam=10)"
+    assert inv == TrinomialInvariants(6, 4, 2, 10)
+    assert dataclasses.replace(inv, lam=14).lambda_h == 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inv.lambda_h = 3
 
 
 def test_cyclic_classification():
