@@ -10,6 +10,7 @@ above; the defect ``F - f`` multiplies across Segre products, which is what
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -61,7 +62,14 @@ class PairDensity:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PairDensity":
-        return cls(dim=int(data["dim"]), mult=int(data["mult"]),
+        """The pair of a ``to_dict`` object; ValueError naming the field
+        for a value of the wrong JSON type."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a pair density must be a JSON object, got {json.dumps(data)}")
+        for key in ("dim", "mult"):
+            if type(data[key]) is not int:  # bool is an int in Python, not in JSON
+                raise ValueError(f"{key} must be a JSON integer, got {json.dumps(data[key])}")
+        return cls(dim=data["dim"], mult=data["mult"],
                    f=PiecewisePolynomial.from_dict(data["density"]),
                    provenance=str(data.get("provenance", "unspecified")))
 

@@ -1,21 +1,21 @@
 """Exact univariate polynomials and piecewise polynomial functions over Q.
 
 Everything here is built on ``fractions.Fraction``; no float ever enters a
-computation.  A :class:`PiecewisePolynomial` is a function that is polynomial
-on each half-open interval ``[b_i, b_{i+1})`` between consecutive breakpoints,
-with two tail polynomials outside the breakpoint range.  Representations are
-canonicalized on construction (adjacent equal pieces merged, redundant
-breakpoints dropped), so two constructions of the same function compare equal.
-
-The half-open convention makes evaluation at breakpoints deterministic.  For
-continuous functions the convention is invisible; discontinuous functions are
-stored as their right-continuous representative.
+computation.  A :class:`PiecewisePolynomial` holds k strictly increasing
+breakpoints and the k + 1 segments, one polynomial for each region they cut
+the line into, each on the half-open interval from its left breakpoint.  A
+discontinuous function is thus stored as its right-continuous
+representative.  One private constructor builds every function from
+breakpoints and segments and merges equal neighbours, so two constructions
+of the same function compare equal.  The Sturm layer works on
+:class:`Polynomial` alone, with one ``_divmod`` and one gcd(p, p'), and
+``Polynomial.__call__`` is the one evaluator.
 
 The kernels do no Fraction work that the exact result does not need, and each
 shortcut rests on an argument, not on a tolerance:
 
 - ``PiecewisePolynomial._combine`` merges the two sorted breakpoint tuples in
-  one pass and steps through both segment lists alongside, in place of a
+  one pass and steps through both segment tuples alongside, in place of a
   sorted set union and two bisections per breakpoint.
 - ``Polynomial.__call__`` runs Horner from the leading coefficient on integer
   numerators over one running denominator and makes one Fraction at the
@@ -32,13 +32,14 @@ shortcut rests on an argument, not on a tolerance:
   it.  Every piece of a bundle or syzygy density is linear.
 - ``is_nonneg_on_closed`` tests the odd-multiplicity part of p on (a, b): p
   over it is a square, and it is squarefree, so its roots are p's sign changes.
-- Canonical form makes two checks of ``hkfun.density`` local.  An affine
-  substitution maps distinct neighbouring segments to distinct ones, so
-  ``f.reflect(c)`` has exactly the breakpoints c - b in reverse order, and a
-  mismatch there already means f != f.reflect(c).  The segment right of a
-  breakpoint never equals the one left of it, so f vanishes on (-inf, 0)
-  exactly when its left tail is zero and its first breakpoint, if any, is
-  >= 0; this is ``f == f.truncate_before(0)`` without building either side.
+- Canonical form makes checks local.  The segment left of the last
+  breakpoint differs from a zero right tail, so that breakpoint is the
+  support's supremum.  An affine substitution maps distinct neighbouring
+  segments to distinct ones, so ``f.reflect(c)`` has exactly the
+  breakpoints c - b in reverse order, and a mismatch there already means
+  f != f.reflect(c).  f vanishes on (-inf, 0) exactly when its first
+  segment is zero and its first breakpoint, if any, is >= 0; this is
+  ``f == f.truncate_before(0)`` without building either side.
 - Continuity makes the dimension-2 symmetry test local.  Between consecutive
   cuts |b - 1| in (0, 1) of the breakpoints b, g(y) = f(1 - y) - f(1 + y) is
   the difference of two composed segments, and at a cut it has one value,
@@ -50,6 +51,8 @@ shortcut rests on an argument, not on a tolerance:
 from __future__ import annotations
 
 import bisect
+import contextlib
+import json
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -204,69 +207,43 @@ _ZERO_POLY = Polynomial()
 # exact sign analysis (Sturm sequences)
 # ---------------------------------------------------------------------------
 
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = f
-        for i, c in enumerate(b):
-            a[i + k] -= f * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
+def _divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """q, r with a = q*b + r and deg r < deg b, for b != 0."""
+    r, bs = list(a.coeffs), b.coeffs
+    k = len(bs) - 1
+    q = [Fraction(0)] * max(0, len(r) - k)
+    for i in range(len(q) - 1, -1, -1):
+        f = r[i + k] / bs[-1]
+        if f:
+            q[i] = f
+            for j, c in enumerate(bs):
+                r[i + j] -= f * c
+    return Polynomial(q), Polynomial(r[:k])
 
 
-def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
+def _gcd_derivative(p: Polynomial) -> Polynomial:
+    """gcd(p, p') up to a constant factor, by Euclid's algorithm."""
+    a, b = p, p.derivative()
+    while not b.is_zero:
+        a, b = b, _divmod(a, b)[1]
     return a
 
 
-def _quotient(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a / b for b dividing a."""
-    q, r = _poly_divmod(a.coeffs, b.coeffs)
-    assert not r
-    return Polynomial(q)
-
-
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p divided by gcd(p, p'); same real roots, all simple."""
-    if p.degree <= 1:
-        return p
-    g = Polynomial(_poly_gcd(p.coeffs, p.derivative().coeffs))
-    if g.degree < 1:
-        return p
-    return _quotient(p, g)
+    """p divided by gcd(p, p') for p != 0; same real roots, all simple."""
+    return _divmod(p, _gcd_derivative(p))[0]
 
 
-def _sturm_chain(p: Polynomial):
-    chain = [list(p.coeffs), list(p.derivative().coeffs)]
-    while chain[-1]:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return [c for c in chain if c]
+def _sturm_chain(p: Polynomial) -> list[Polynomial]:
+    chain = [p, p.derivative()]
+    while not (r := _divmod(chain[-2], chain[-1])[1]).is_zero:
+        chain.append(-r)
+    return chain
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for cs in chain:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        if acc:
-            signs.append(1 if acc > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_variations(chain: list[Polynomial], x: Fraction) -> int:
+    signs = [v > 0 for v in (p(x) for p in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def count_roots_open(p: Polynomial, a: QLike, b: QLike) -> int:
@@ -279,14 +256,10 @@ def count_roots_open(p: Polynomial, a: QLike, b: QLike) -> int:
     sf = squarefree_part(p)
     if sf.degree < 1:
         return 0
-    if sf.degree == 1:
-        c0, c1 = sf.coeffs
-        return 1 if a < -c0 / c1 < b else 0
+    # for squarefree sf the variations count the roots in (a, b]
     chain = _sturm_chain(sf)
     n = _sign_variations(chain, a) - _sign_variations(chain, b)
-    if sf(b) == 0:
-        n -= 1
-    return n
+    return n - 1 if sf(b) == 0 else n
 
 
 def positive_between(lo: Fraction, hi: Fraction) -> bool:
@@ -315,8 +288,8 @@ def _odd_part(p: Polynomial) -> Polynomial:
     prod a_i and the odd part of g is prod_{i even} a_i."""
     if p.degree < 2:
         return p
-    g = Polynomial(_poly_gcd(p.coeffs, p.derivative().coeffs))
-    return _quotient(_quotient(p, g), _odd_part(g))
+    g = _gcd_derivative(p)
+    return _divmod(_divmod(p, g)[0], _odd_part(g))[0]
 
 
 def is_nonneg_on_closed(p: Polynomial, a: QLike, b: QLike) -> bool:
@@ -336,13 +309,16 @@ def is_nonneg_on_closed(p: Polynomial, a: QLike, b: QLike) -> bool:
 class PiecewisePolynomial:
     """Piecewise polynomial on the real line with exact rational breakpoints.
 
-    ``pieces[i]`` is the polynomial on ``[breakpoints[i], breakpoints[i+1])``;
-    ``left_tail`` applies on ``(-inf, breakpoints[0])`` and ``right_tail`` on
-    ``[breakpoints[-1], +inf)``.  With no breakpoints the function is a single
-    global polynomial (stored in both tails).
+    k breakpoints cut the line into k + 1 regions, and ``segments`` holds one
+    polynomial for each: ``segments[0]`` on ``(-inf, breakpoints[0])``,
+    ``segments[i]`` on ``[breakpoints[i-1], breakpoints[i])`` and
+    ``segments[-1]`` on ``[breakpoints[-1], +inf)``.  With no breakpoints the
+    function is the one global polynomial ``segments[0]``.  ``left_tail``,
+    ``pieces`` and ``right_tail`` are views of the first, middle and last
+    segments.
     """
 
-    __slots__ = ("breakpoints", "pieces", "left_tail", "right_tail")
+    __slots__ = ("breakpoints", "segments")
 
     def __init__(
         self,
@@ -353,30 +329,34 @@ class PiecewisePolynomial:
     ):
         bps = [as_fraction(b) for b in breakpoints]
         segs = [left_tail, *pieces, right_tail]
-        if bps:
-            # k breakpoints cut the line into k+1 regions
-            if len(segs) != len(bps) + 1:
-                raise ValueError("need exactly one piece per bounded interval")
-        else:
+        if not bps:
             if len(segs) != 2:
                 raise ValueError("pieces without breakpoints")
             if left_tail != right_tail:
                 raise ValueError("tails must agree when there are no breakpoints")
+        elif len(segs) != len(bps) + 1:
+            raise ValueError("need exactly one piece per bounded interval")
         if any(x >= y for x, y in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        # canonical form: drop any breakpoint whose neighbours carry the same
-        # polynomial
+        f = self._from_segments(bps, segs)
+        object.__setattr__(self, "breakpoints", f.breakpoints)
+        object.__setattr__(self, "segments", f.segments)
+
+    @classmethod
+    def _from_segments(cls, breakpoints: Sequence[Fraction],
+                       segments: Sequence[Polynomial]) -> "PiecewisePolynomial":
+        """Strictly increasing ``breakpoints`` and one segment more, in
+        canonical form: a breakpoint between equal segments is dropped."""
         out_b: list[Fraction] = []
-        out_s: list[Polynomial] = [segs[0]]
-        for b, seg in zip(bps, segs[1:]):
-            if seg == out_s[-1]:
-                continue
-            out_b.append(b)
-            out_s.append(seg)
-        object.__setattr__(self, "breakpoints", tuple(out_b))
-        object.__setattr__(self, "pieces", tuple(out_s[1:-1]) if len(out_s) > 2 else ())
-        object.__setattr__(self, "left_tail", out_s[0])
-        object.__setattr__(self, "right_tail", out_s[-1] if len(out_s) > 1 else out_s[0])
+        out_s: list[Polynomial] = [segments[0]]
+        for b, seg in zip(breakpoints, segments[1:]):
+            if seg != out_s[-1]:
+                out_b.append(b)
+                out_s.append(seg)
+        f = object.__new__(cls)
+        object.__setattr__(f, "breakpoints", tuple(out_b))
+        object.__setattr__(f, "segments", tuple(out_s))
+        return f
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("PiecewisePolynomial is immutable")
@@ -389,7 +369,7 @@ class PiecewisePolynomial:
 
     @classmethod
     def from_global(cls, poly: Polynomial) -> "PiecewisePolynomial":
-        return cls((), (), poly, poly)
+        return cls._from_segments((), (poly,))
 
     @classmethod
     def on_interval(cls, lo: QLike, hi: QLike, poly: Polynomial) -> "PiecewisePolynomial":
@@ -398,19 +378,18 @@ class PiecewisePolynomial:
 
     # -- structure ----------------------------------------------------------
 
-    def _segments(self) -> list[Polynomial]:
-        return [self.left_tail, *self.pieces, self.right_tail]
+    # views of the first, middle and last segments
+    left_tail = property(lambda self: self.segments[0])
+    pieces = property(lambda self: self.segments[1:-1])
+    right_tail = property(lambda self: self.segments[-1])
 
     def segment_at(self, x: QLike) -> Polynomial:
-        x = as_fraction(x)
-        i = bisect.bisect_right(self.breakpoints, x)
-        return self._segments()[i]
+        return self.segments[bisect.bisect_right(self.breakpoints, as_fraction(x))]
 
     def iter_pieces(self) -> Iterator[tuple[Optional[Fraction], Optional[Fraction], Polynomial]]:
         """Yield (lo, hi, poly) over all segments; None marks an infinite end."""
         bounds: list[Optional[Fraction]] = [None, *self.breakpoints, None]
-        for lo, hi, seg in zip(bounds, bounds[1:], self._segments()):
-            yield lo, hi, seg
+        return zip(bounds, bounds[1:], self.segments)
 
     def __call__(self, x: QLike) -> Fraction:
         return self.segment_at(x)(x)
@@ -418,12 +397,12 @@ class PiecewisePolynomial:
     @property
     def is_continuous(self) -> bool:
         """True when the left and right limits agree at every breakpoint."""
-        segs = self._segments()
-        return all(segs[i](b) == segs[i + 1](b) for i, b in enumerate(self.breakpoints))
+        segs = self.segments
+        return all(s(b) == t(b) for b, s, t in zip(self.breakpoints, segs, segs[1:]))
 
     @property
     def is_zero(self) -> bool:
-        return not self.breakpoints and self.left_tail.is_zero
+        return not self.breakpoints and self.segments[0].is_zero
 
     # -- pointwise algebra ---------------------------------------------------
 
@@ -431,9 +410,9 @@ class PiecewisePolynomial:
         # one merge pass over both breakpoint tuples: after each merged
         # breakpoint, a_segs[i] and b_segs[j] are the segments right of it
         a, b = self.breakpoints, other.breakpoints
-        a_segs, b_segs = self._segments(), other._segments()
+        a_segs, b_segs = self.segments, other.segments
         merged: list[Fraction] = []
-        segs = [op(self.left_tail, other.left_tail)]
+        segs = [op(a_segs[0], b_segs[0])]
         i = j = 0
         while i < len(a) or j < len(b):
             if j == len(b) or (i < len(a) and a[i] < b[j]):
@@ -447,7 +426,7 @@ class PiecewisePolynomial:
                 i += 1
                 j += 1
             segs.append(op(a_segs[i], b_segs[j]))
-        return PiecewisePolynomial(merged, segs[1:-1], segs[0], segs[-1])
+        return PiecewisePolynomial._from_segments(merged, segs)
 
     def __add__(self, other: "PiecewisePolynomial") -> "PiecewisePolynomial":
         return self._combine(other, lambda a, b: a + b)
@@ -460,8 +439,8 @@ class PiecewisePolynomial:
 
     def scale(self, c: QLike) -> "PiecewisePolynomial":
         c = as_fraction(c)
-        return PiecewisePolynomial(self.breakpoints, [p * c for p in self.pieces],
-                                   self.left_tail * c, self.right_tail * c)
+        return PiecewisePolynomial._from_segments(self.breakpoints,
+                                                  [p * c for p in self.segments])
 
     # -- calculus ------------------------------------------------------------
 
@@ -487,16 +466,12 @@ class PiecewisePolynomial:
         """Supremum of the support when finite; None for an unbounded tail.
 
         The zero function returns 0 (neutral value for functions on [0, oo)).
+        In canonical form the segment left of the last breakpoint differs
+        from a zero right tail, so that breakpoint is the supremum.
         """
-        if not self.right_tail.is_zero:
+        if not self.segments[-1].is_zero:
             return None
-        segs = self._segments()
-        for i in range(len(self.pieces), 0, -1):
-            if not segs[i].is_zero:
-                return self.breakpoints[i]
-        if not self.left_tail.is_zero:
-            return self.breakpoints[0] if self.breakpoints else None
-        return Fraction(0)
+        return self.breakpoints[-1] if self.breakpoints else Fraction(0)
 
     # -- transforms ----------------------------------------------------------
 
@@ -510,15 +485,12 @@ class PiecewisePolynomial:
         a, b = as_fraction(a), as_fraction(b)
         if a == 0:
             raise ValueError("affine substitution must be invertible")
-        if not self.breakpoints:
-            g = self.left_tail.compose_affine(a, b)
-            return PiecewisePolynomial.from_global(g)
-        new_bps = [(bp - b) / a for bp in self.breakpoints]
-        segs = [seg.compose_affine(a, b) for seg in self._segments()]
-        if a > 0:
-            return PiecewisePolynomial(new_bps, segs[1:-1], segs[0], segs[-1])
-        return PiecewisePolynomial(list(reversed(new_bps)), list(reversed(segs[1:-1])),
-                                   segs[-1], segs[0])
+        bps = [(bp - b) / a for bp in self.breakpoints]
+        segs = [seg.compose_affine(a, b) for seg in self.segments]
+        if a < 0:
+            bps.reverse()
+            segs.reverse()
+        return PiecewisePolynomial._from_segments(bps, segs)
 
     def reflect(self, c: QLike) -> "PiecewisePolynomial":
         """Return x -> f(c - x); f == f.reflect(c) is the symmetry test."""
@@ -527,22 +499,19 @@ class PiecewisePolynomial:
     def truncate_before(self, c: QLike) -> "PiecewisePolynomial":
         """Zero the function on (-inf, c), keeping it unchanged on [c, inf)."""
         c = as_fraction(c)
-        bps = [c] + [b for b in self.breakpoints if b > c]
-        pieces = [self.segment_at(b) for b in bps[:-1]]
-        right = self.segment_at(bps[-1])
-        return PiecewisePolynomial(bps, pieces, _ZERO_POLY, right)
+        i = bisect.bisect_right(self.breakpoints, c)
+        return PiecewisePolynomial._from_segments([c, *self.breakpoints[i:]],
+                                                  [_ZERO_POLY, *self.segments[i:]])
 
     # -- comparisons / hashing ------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PiecewisePolynomial)
                 and self.breakpoints == other.breakpoints
-                and self.pieces == other.pieces
-                and self.left_tail == other.left_tail
-                and self.right_tail == other.right_tail)
+                and self.segments == other.segments)
 
     def __hash__(self) -> int:
-        return hash((self.breakpoints, self.pieces, self.left_tail, self.right_tail))
+        return hash((self.breakpoints, self.segments))
 
     def __repr__(self) -> str:
         parts = [f"[{fraction_str(lo) if lo is not None else '-inf'}, "
@@ -579,12 +548,33 @@ class PiecewisePolynomial:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewisePolynomial":
-        return cls(
-            [as_fraction(b) for b in data["breakpoints"]],
-            [Polynomial(p) for p in data["pieces"]],
-            Polynomial(data["left_tail"]),
-            Polynomial(data["right_tail"]),
-        )
+        """The function of a ``to_dict`` object; ValueError naming the field
+        for anything but arrays of integers and ``"num/den"`` strings."""
+        if not isinstance(data, dict):
+            raise ValueError(f"density must be a JSON object, got {json.dumps(data)}")
+        pieces = _json_array(data["pieces"], "pieces")
+        return cls(_json_rationals(data["breakpoints"], "breakpoints"),
+                   [Polynomial(_json_rationals(p, f"pieces[{i}]")) for i, p in enumerate(pieces)],
+                   Polynomial(_json_rationals(data["left_tail"], "left_tail")),
+                   Polynomial(_json_rationals(data["right_tail"], "right_tail")))
+
+
+def _json_array(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON array, got {json.dumps(value)}")
+    return value
+
+
+def _json_rationals(value, field: str) -> list[Fraction]:
+    """A JSON array of integers and ``"num/den"`` strings as Fractions."""
+    return [_json_rational(c, f"{field}[{i}]") for i, c in enumerate(_json_array(value, field))]
+
+
+def _json_rational(value, field: str) -> Fraction:
+    if type(value) is int or isinstance(value, str):  # a JSON true is no integer
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            return Fraction(value)
+    raise ValueError(f'{field} must be an integer or a "num/den" string, got {json.dumps(value)}')
 
 
 def _cauchy_root_bound(p: Polynomial) -> Fraction:

@@ -83,11 +83,15 @@ def _result(name: str, measured: Fraction, target: Fraction, tol: Fraction,
                         detail=detail)
 
 
+def _verdict(name: str, ok: bool, yes: str, no: str, detail: str) -> VerifyResult:
+    """A yes/no check: ``yes`` or ``no`` against the target ``yes``, tolerance 0, gap 0 or 1."""
+    return VerifyResult(name=name, passed=ok, measured=yes if ok else no, target=yes,
+                        tolerance="0", gap="0" if ok else "1", detail=detail)
+
+
 def _case_tent_exact() -> VerifyResult:
-    ok = tent_pair().f == tent_function()
-    return VerifyResult(name="tent-exact", passed=ok, measured="tent" if ok else "other",
-                        target="tent", tolerance="0", gap="0" if ok else "1",
-                        detail="unit parameter density equals the tent function exactly")
+    return _verdict("tent-exact", tent_pair().f == tent_function(), "tent", "other",
+                    "unit parameter density equals the tent function exactly")
 
 
 def _fermat4_case(name: str, p: int, q: int, tol: Fraction) -> Callable[[], VerifyResult]:
@@ -147,11 +151,9 @@ def _case_scaling() -> VerifyResult:
     # non-monomial generators, so that the bracket's coefficients matter
     gens = [oracle.parse_polynomial(g, 3) for g in ("x + y", "x + 2*y", "z")]
     ok = oracle.scaling_check(3, QUADRIC_CONE, gens, 3, 3)
-    return VerifyResult(name="scaling-quadric-cone", passed=ok,
-                        measured="equal" if ok else "unequal", target="equal",
-                        tolerance="0", gap="0" if ok else "1",
-                        detail="for I = (x + y, x + 2y, z), colengths of the literal "
-                               "powers (g^3)^3 mod 3 and of I^[9] agree degree by degree")
+    return _verdict("scaling-quadric-cone", ok, "equal", "unequal",
+                    "for I = (x + y, x + 2y, z), colengths of the literal "
+                    "powers (g^3)^3 mod 3 and of I^[9] agree degree by degree")
 
 
 def _case_profile_mirror() -> VerifyResult:
@@ -167,11 +169,9 @@ def _case_profile_mirror() -> VerifyResult:
     while value := length(len(ranked)):
         ranked[len(ranked)] = value
     ok = (profile.lengths, profile.top_nonzero) == (ranked, len(ranked) - 1)
-    return VerifyResult(name="profile-mirror-cyclic4-p7-q49", passed=ok,
-                        measured="equal" if ok else "unequal", target="equal",
-                        tolerance="0", gap="0" if ok else "1",
-                        detail=f"mirrored profile (top {profile.top_nonzero}) against a rank "
-                               f"at every degree 0..{len(ranked)}")
+    return _verdict("profile-mirror-cyclic4-p7-q49", ok, "equal", "unequal",
+                    f"mirrored profile (top {profile.top_nonzero}) against a rank "
+                    f"at every degree 0..{len(ranked)}")
 
 
 def _case_kunz_regular() -> VerifyResult:

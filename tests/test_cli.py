@@ -341,6 +341,57 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+
+def _tent_json(dim=2, mult=1, **density):
+    """The tent pair as JSON, with the given fields of its density replaced."""
+    return {"dim": dim, "mult": mult, "density": {**tent_function().to_dict(), **density}}
+
+
+NOT_RATIONAL = 'must be an integer or a "num/den" string, got'
+MALFORMED_PAIRS = {
+    "top-level-array": ([2, 1], "a pair density must be a JSON object, got [2, 1]"),
+    "density-array": ({"dim": 2, "mult": 1, "density": [0, 1]},
+                      "density must be a JSON object, got [0, 1]"),
+    "breakpoints-string": (_tent_json(breakpoints="012"),
+                           'breakpoints must be a JSON array, got "012"'),
+    "pieces-object": (_tent_json(pieces={"0": 1}), 'pieces must be a JSON array, got {"0": 1}'),
+    "piece-string": (_tent_json(pieces=["01", [2, -1]]),
+                     'pieces[0] must be a JSON array, got "01"'),
+    "left-tail-null": (_tent_json(left_tail=None), "left_tail must be a JSON array, got null"),
+    "right-tail-string": (_tent_json(right_tail="0"),
+                          'right_tail must be a JSON array, got "0"'),
+    "coefficient-float": (_tent_json(pieces=[[0.5, 1], [2, -1]]),
+                          f"pieces[0][0] {NOT_RATIONAL} 0.5"),
+    "breakpoint-null": (_tent_json(breakpoints=[0, None, 2]),
+                        f"breakpoints[1] {NOT_RATIONAL} null"),
+    "breakpoint-bool": (_tent_json(breakpoints=[0, True, 2]),
+                        f"breakpoints[1] {NOT_RATIONAL} true"),
+    "coefficient-zero-denominator": (_tent_json(pieces=[[0, 1], [2, "-1/0"]]),
+                                     f'pieces[1][1] {NOT_RATIONAL} "-1/0"'),
+    "mult-float": (_tent_json(mult=1.9), "mult must be a JSON integer, got 1.9"),
+    "dim-string": (_tent_json(dim="2"), 'dim must be a JSON integer, got "2"'),
+    "dim-null": (_tent_json(dim=None), "dim must be a JSON integer, got null"),
+}
+
+
+@pytest.mark.parametrize("payload, message", MALFORMED_PAIRS.values(),
+                         ids=MALFORMED_PAIRS.keys())
+def test_malformed_pair_density_is_one_line_error(tmp_path, capsys, payload, message):
+    bad = tmp_path / "pair.json"
+    bad.write_text(json.dumps(payload))
+    for argv in (("density", "--in", str(bad)),
+                 ("segre", "--left", str(bad), "--right", str(bad))):
+        assert run_cli(capsys, *argv) == (1, "", f"hkfun: error: {message}\n")
+
+
+def test_pair_density_reads_integer_entries(tmp_path, capsys):
+    """JSON integers read as the "num/den" strings that ``to_dict`` writes."""
+    good = tmp_path / "pair.json"
+    good.write_text(json.dumps(_tent_json(breakpoints=[0, 1, 2], pieces=[[0, 1], [2, -1]])))
+    code, out, _ = run_cli(capsys, "density", "--in", str(good))
+    assert code == 0
+    assert PairDensity.from_dict(json.loads(out)).f == tent_function()
+
 def test_out_flag_round_trip(tmp_path, capsys):
     target = tmp_path / "quadric.json"
     code, out, _ = run_cli(capsys, "syzygy", "--mu", "3", "--d0", "1",

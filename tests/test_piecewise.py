@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import json
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hkfun.piecewise import (
     PiecewisePolynomial,
     Polynomial,
     _cauchy_root_bound,
+    _divmod,
     _odd_part,
     as_fraction,
     count_roots_open,
@@ -246,6 +248,47 @@ def test_json_round_trip_property(f):
     restored = PiecewisePolynomial.from_dict(data)
     assert restored == f
     assert restored.to_dict() == f.to_dict()
+
+
+# every way a function is built: the public constructor, and the operations
+# that build through the private constructor from breakpoints and segments
+BUILDS = {
+    "constructor": lambda f, g, c: f,
+    "global": lambda f, g, c: PiecewisePolynomial.from_global(g.left_tail),
+    "add": lambda f, g, c: f + g,
+    "sub": lambda f, g, c: f - g,
+    "mul": lambda f, g, c: f * g,
+    "scale": lambda f, g, c: f.scale(c),
+    "compose": lambda f, g, c: f.compose_affine(c or 2, 1 - c),
+    "reflect": lambda f, g, c: f.reflect(c),
+    "truncate": lambda f, g, c: f.truncate_before(c),
+}
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(sorted(BUILDS)), piecewise_polynomials(GRID_POINTS, SMALL_POLYNOMIALS),
+       piecewise_polynomials(GRID_POINTS, SMALL_POLYNOMIALS), RATIONALS, RATIONALS)
+def test_segments_are_the_tails_and_pieces(build, f, g, c, x):
+    h = BUILDS[build](f, g, c)
+    assert len(h.segments) == len(h.breakpoints) + 1
+    if h.breakpoints:
+        assert h.segments == (h.left_tail, *h.pieces, h.right_tail)
+    else:
+        assert h.segments == (h.left_tail,) and h.right_tail is h.left_tail
+    # canonical: no two neighbouring segments are equal
+    assert all(s != t for s, t in zip(h.segments, h.segments[1:]))
+    for y in (x, *h.breakpoints):
+        assert h.segment_at(y) is h.segments[bisect.bisect_right(h.breakpoints, y)]
+    assert PiecewisePolynomial.from_dict(json.loads(json.dumps(h.to_dict()))) == h
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(RATIONALS, max_size=7).map(Polynomial),
+       st.lists(RATIONALS, min_size=1, max_size=4).filter(lambda cs: cs[-1]).map(Polynomial))
+def test_divmod_is_euclidean_division(a, b):
+    q, r = _divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
 
 
 SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
