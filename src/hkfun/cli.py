@@ -10,8 +10,9 @@ printed: with ``--format samples``, and in the JSON of ``trinomial --prime``
 of ``density`` and ``segre`` comes from degrees or from a JSON file.
 
 Exit status is 0 on success (for ``verify``: only when the check passed),
-1 with a one-line diagnostic on a computation error or an option value the
-command would ignore, 2 on usage errors (unknown or conflicting options).
+1 with a one-line diagnostic on a ValueError (invalid input, an option value
+the command would ignore), an ArithmeticError or an OSError, 2 on usage
+errors (unknown or conflicting options).  Any other exception is a fault.
 """
 
 from __future__ import annotations
@@ -451,7 +452,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             if value is not None and value < least:
                 raise ValueError(f"--{name} must be >= {least}, got {value}")
         return args.func(args)
-    except (ValueError, KeyError, ArithmeticError, OSError, oracle.OracleError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"hkfun: error: {exc}", file=sys.stderr)
         return 1
 

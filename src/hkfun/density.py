@@ -63,9 +63,11 @@ class PairDensity:
     @classmethod
     def from_dict(cls, data: dict) -> "PairDensity":
         """The pair of a ``to_dict`` object; ValueError naming the field
-        for a value of the wrong JSON type."""
+        for a missing key or a value of the wrong JSON type."""
         if not isinstance(data, dict):
             raise ValueError(f"a pair density must be a JSON object, got {json.dumps(data)}")
+        if missing := [k for k in ("dim", "mult", "density") if k not in data]:
+            raise ValueError(f'a pair density has no "{missing[0]}" key')
         for key in ("dim", "mult"):
             if type(data[key]) is not int:  # bool is an int in Python, not in JSON
                 raise ValueError(f"{key} must be a JSON integer, got {json.dumps(data[key])}")

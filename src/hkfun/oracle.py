@@ -123,8 +123,9 @@ Poly = Mapping[tuple[int, ...], int]
 _RESIDUAL_CELL_LIMIT = 6_000_000
 
 
-class OracleError(RuntimeError):
-    """No finite colength, or a residual system beyond the size cap."""
+class OracleError(ValueError):
+    """An input the oracle cannot take, so a ValueError: an ideal without
+    finite colength, or a residual system beyond the size cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +612,8 @@ def _gorenstein_mirror(caps: Sequence[int], d: int) -> Mirror:
 
 
 def _num_vars(hyp: Optional[Poly], gens: Sequence[Poly]) -> int:
+    if hyp is None and not gens:
+        raise OracleError("the zero ideal does not have finite colength")
     return poly_num_vars(hyp if hyp is not None else gens[0])
 
 
@@ -816,19 +819,13 @@ def fthreshold_estimate(p: int, hypersurface: Poly, n: int, q: int) -> Fraction:
 def monomial_alpha(num_vars: int, generators: Sequence[Poly]) -> int:
     """The top nonzero degree of S/J plus num_vars, for a finite-colength
     monomial ideal J in a polynomial ring S of dimension >= 2.  Monomial
-    lengths do not depend on p, so they are taken at p = 2."""
+    lengths do not depend on p, so they are taken at p = 2; the sweep raises
+    OracleError when J does not have finite colength."""
     if num_vars < 2:
         raise ValueError("the support formula needs dimension >= 2")
-    exps = []
-    for g in generators:
-        if len(g) != 1:
-            raise ValueError("generators must be monomials")
-        exps.append(next(iter(g)))
-    caps, _ = _caps_and_mixed(exps, num_vars)
-    if None in caps:
-        raise ValueError("not finite colength: some variable has no pure power "
-                         "among the generators")
-    return top_nonzero_degree(2, None, [{e: 1} for e in exps], 1) + num_vars
+    if any(len(g) != 1 for g in generators):
+        raise ValueError("generators must be monomials")
+    return top_nonzero_degree(2, None, [dict.fromkeys(g, 1) for g in generators], 1) + num_vars
 
 
 def scaling_check(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],

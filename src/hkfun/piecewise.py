@@ -26,12 +26,12 @@ shortcut rests on an argument, not on a tolerance:
 - Pieces of degree <= 1 are decided by their end values.  The trapezoid rule
   is exact for degree <= 1, so ``PiecewisePolynomial.integrate`` builds no
   antiderivative for them.  A linear piece has its extremes at its ends, so
-  ``positive_between`` decides it from its two end values; both
-  ``is_positive_on_open`` (for a p of degree below 2, which
-  ``is_nonneg_on_closed`` passes on unchanged) and ``symmetry_class`` call
-  it.  Every piece of a bundle or syzygy density is linear.
+  ``positive_between`` decides it from its two end values for
+  ``is_positive_on_open``, ``is_nonneg_on_closed`` and ``symmetry_class``.
+  Every piece of a bundle or syzygy density is linear.
 - ``is_nonneg_on_closed`` tests the odd-multiplicity part of p on (a, b): p
-  over it is a square, and it is squarefree, so its roots are p's sign changes.
+  over it is a square, and it is squarefree, so its roots are p's sign
+  changes, and the Sturm count takes it with no second gcd.
 - Canonical form makes checks local.  The segment left of the last
   breakpoint differs from a zero right tail, so that breakpoint is the
   support's supremum.  An affine substitution maps distinct neighbouring
@@ -60,13 +60,17 @@ QLike = Union[Fraction, int, str]
 
 
 def as_fraction(value: QLike) -> Fraction:
-    """Coerce an int, Fraction, or ``"num/den"`` string to an exact Fraction."""
+    """Coerce an int, Fraction, or ``"num/den"`` string to an exact Fraction;
+    ValueError for a string that is not one, a zero denominator included."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -246,6 +250,16 @@ def _sign_variations(chain: list[Polynomial], x: Fraction) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def _count_simple_roots(sf: Polynomial, a: Fraction, b: Fraction) -> int:
+    """Number of roots of a nonzero squarefree sf in (a, b), for a < b."""
+    if sf.degree < 1:
+        return 0
+    # for squarefree sf the variations count the roots in (a, b]
+    chain = _sturm_chain(sf)
+    n = _sign_variations(chain, a) - _sign_variations(chain, b)
+    return n - 1 if sf(b) == 0 else n
+
+
 def count_roots_open(p: Polynomial, a: QLike, b: QLike) -> int:
     """Number of distinct real roots of p in the open interval (a, b)."""
     a, b = as_fraction(a), as_fraction(b)
@@ -253,13 +267,7 @@ def count_roots_open(p: Polynomial, a: QLike, b: QLike) -> int:
         raise ValueError("zero polynomial has no isolated roots")
     if a >= b:
         return 0
-    sf = squarefree_part(p)
-    if sf.degree < 1:
-        return 0
-    # for squarefree sf the variations count the roots in (a, b]
-    chain = _sturm_chain(sf)
-    n = _sign_variations(chain, a) - _sign_variations(chain, b)
-    return n - 1 if sf(b) == 0 else n
+    return _count_simple_roots(squarefree_part(p), a, b)
 
 
 def positive_between(lo: Fraction, hi: Fraction) -> bool:
@@ -299,7 +307,10 @@ def is_nonneg_on_closed(p: Polynomial, a: QLike, b: QLike) -> bool:
         return True
     if a == b:
         return p(a) >= 0
-    return is_positive_on_open(_odd_part(p), a, b)
+    odd = _odd_part(p)  # squarefree, so its roots are counted without a second gcd
+    if odd.degree < 2:
+        return positive_between(odd(a), odd(b))
+    return _count_simple_roots(odd, a, b) == 0 and odd((a + b) / 2) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +563,9 @@ class PiecewisePolynomial:
         for anything but arrays of integers and ``"num/den"`` strings."""
         if not isinstance(data, dict):
             raise ValueError(f"density must be a JSON object, got {json.dumps(data)}")
+        if missing := [k for k in ("breakpoints", "pieces", "left_tail", "right_tail")
+                       if k not in data]:
+            raise ValueError(f'density has no "{missing[0]}" key')
         pieces = _json_array(data["pieces"], "pieces")
         return cls(_json_rationals(data["breakpoints"], "breakpoints"),
                    [Polynomial(_json_rationals(p, f"pieces[{i}]")) for i, p in enumerate(pieces)],
@@ -572,8 +586,8 @@ def _json_rationals(value, field: str) -> list[Fraction]:
 
 def _json_rational(value, field: str) -> Fraction:
     if type(value) is int or isinstance(value, str):  # a JSON true is no integer
-        with contextlib.suppress(ValueError, ZeroDivisionError):
-            return Fraction(value)
+        with contextlib.suppress(ValueError):
+            return as_fraction(value)
     raise ValueError(f'{field} must be an integer or a "num/den" string, got {json.dumps(value)}')
 
 

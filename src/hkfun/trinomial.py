@@ -350,10 +350,6 @@ def _residue_row(inv: TrinomialInvariants, n: int, d: int, l: int) -> ResidueRow
     """The regular threshold at the class l: the scan's (T, D) with the
     formula's base 3n/2 and integral weight lambda*(1-T)."""
     res = taxicab_search(inv, n, l)
-    weight = inv.lam * (1 - res.T)
-    if weight.denominator != 1:
-        raise ArithmeticError(
-            f"lambda*(1-T) = {weight} is not an integer; the corner scan "
-            "left the 1/lambda grid")
+    # T is an integer over lambda (or 1), so lambda*(1 - T) is an integer
     return ResidueRow(representative=l, T=res.T, D=res.D, base=Fraction(3 * n, 2),
-                      weight=weight.numerator, poldeg=d)
+                      weight=int(inv.lam * (1 - res.T)), poldeg=d)

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import ast
+import builtins
+import importlib
 import json
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkfun import oracle, verify
+import hkfun
+from hkfun import cli, oracle, verify
 from hkfun.cli import build_parser, decimal_string, main
 from hkfun.density import PairDensity
 from hkfun.piecewise import tent_function
@@ -234,6 +239,13 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
     (("oracle", "--prime", "3", "--q", "3", "--op", "fn"), "--x is required for op=fn"),
     (("syzygy", "--mu", "3", "--d0", "1", "--poldeg", "2", "--slopes", "2,-4", "--ranks", "1,1"),
      "largest slope 2 of V exceeds the slope 0 of M"),
+    (("volume", "--degrees", "1,2", "--eval", "1/0"), "'1/0' has a zero denominator"),
+    (("bundle", "--slopes", "1/0", "--ranks", "1", "--poldeg", "2"),
+     "'1/0' has a zero denominator"),
+    (("oracle", "--prime", "3", "--q", "3", "--fermat", "4", "--op", "fn", "--x", "1/0"),
+     "'1/0' has a zero denominator"),
+    (("verify", "--case", "nope"),
+     f"unknown verify case 'nope'; known: {', '.join(sorted(verify.CASES))}"),
 ], ids=["table-prime-4", "prime-divides-2lambda", "table-prime-divides-2lambda",
         "table-prime-divides-2lambda-cyclic", "samples-0", "samples-negative", "samples-1",
         "precision-trinomial", "x-without-fn", "vars-with-curve", "vars-0", "vars-negative",
@@ -242,7 +254,9 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
         "precision-oracle-fn", "precision-oracle-csv", "precision-trinomial-csv",
         "gens-empty", "n-with-empty-gens", "hypersurface-zero", "sign-without-term",
         "typeI-collinear", "typeII-collinear", "oracle-collinear",
-        "fthreshold-without-hypersurface", "fn-without-x", "syzygy-steeper-than-free"])
+        "fthreshold-without-hypersurface", "fn-without-x", "syzygy-steeper-than-free",
+        "eval-zero-denominator", "slope-zero-denominator", "x-zero-denominator",
+        "unknown-verify-case"])
 def test_invalid_option_is_one_line_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -347,6 +361,10 @@ def _tent_json(dim=2, mult=1, **density):
     return {"dim": dim, "mult": mult, "density": {**tent_function().to_dict(), **density}}
 
 
+def _without(obj: dict, key: str) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
 NOT_RATIONAL = 'must be an integer or a "num/den" string, got'
 MALFORMED_PAIRS = {
     "top-level-array": ([2, 1], "a pair density must be a JSON object, got [2, 1]"),
@@ -371,6 +389,11 @@ MALFORMED_PAIRS = {
     "mult-float": (_tent_json(mult=1.9), "mult must be a JSON integer, got 1.9"),
     "dim-string": (_tent_json(dim="2"), 'dim must be a JSON integer, got "2"'),
     "dim-null": (_tent_json(dim=None), "dim must be a JSON integer, got null"),
+    **{f"no-{key}": (_without(_tent_json(), key), f'a pair density has no "{key}" key')
+       for key in ("dim", "mult", "density")},
+    **{f"no-{key}": ({**_tent_json(), "density": _without(tent_function().to_dict(), key)},
+                     f'density has no "{key}" key')
+       for key in ("breakpoints", "pieces", "left_tail", "right_tail")},
 }
 
 
@@ -382,6 +405,49 @@ def test_malformed_pair_density_is_one_line_error(tmp_path, capsys, payload, mes
     for argv in (("density", "--in", str(bad)),
                  ("segre", "--left", str(bad), "--right", str(bad))):
         assert run_cli(capsys, *argv) == (1, "", f"hkfun: error: {message}\n")
+
+
+def test_a_fault_inside_a_command_is_not_an_input_error(monkeypatch, capsys):
+    """``main`` turns ValueError, ArithmeticError and OSError into a one-line
+    error; a KeyError from inside a command is a fault of the program, and
+    it propagates."""
+    def lookup_fault(spec):
+        raise KeyError("breakpoints")
+
+    monkeypatch.setattr(cli, "slice_volume", lookup_fault)
+    with pytest.raises(KeyError):
+        main(["volume", "--degrees", "1,2"])
+    assert capsys.readouterr().err == ""
+
+
+# the raises in hkfun that report no input error: (module, function, exception)
+NOT_VALUE_ERRORS = [("piecewise", "__setattr__", "AttributeError"),
+                    ("piecewise", "__setattr__", "AttributeError"),
+                    ("piecewise", "as_fraction", "TypeError")]
+
+
+def _raises(node: ast.AST, function: str = ""):
+    """(innermost enclosing function, raise statement) for each raise below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield function, child
+        yield from _raises(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+
+def test_every_raise_in_the_package_is_a_value_error():
+    """The error contract ``main`` relies on: each module raises ValueError,
+    or a subclass of it, for bad input where it finds it.  The only other
+    raises are the immutability guards and ``as_fraction``'s TypeError for
+    a value of no rational type, which no command passes."""
+    others = []
+    for path in sorted(Path(hkfun.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"hkfun.{path.stem}".removesuffix(".__init__"))
+        for function, node in _raises(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else exc.id
+            if not issubclass(getattr(module, name, None) or getattr(builtins, name), ValueError):
+                others.append((path.stem, function, name))
+    assert sorted(others) == NOT_VALUE_ERRORS
 
 
 def test_pair_density_reads_integer_entries(tmp_path, capsys):

@@ -246,6 +246,9 @@ def test_one_analysis_per_quotient(monkeypatch):
             calls.clear()
             sweep(5, h, gens, 5)
             assert len(calls) == 1, (path, h, sweep.__name__)
+    calls.clear()
+    assert monomial_alpha(2, [{(2, 0): 1}, {(1, 1): 1}, {(0, 3): 1}]) == 4
+    assert len(calls) == 1
 
 
 def test_profile_quadric_cone():
@@ -335,8 +338,10 @@ def test_monomial_alpha_rejects_infinite_colength():
      "the support formula needs dimension >= 2"),
     (lambda: monomial_alpha(2, [{(2, 0): 1, (0, 2): 1}, {(0, 3): 1}]), ValueError,
      "generators must be monomials"),
+    (lambda: monomial_alpha(2, []), OracleError,
+     "the zero ideal does not have finite colength"),
 ], ids=["top-without-zero-tail", "fn-not-two-dimensional", "alpha-one-variable",
-        "alpha-non-monomial"])
+        "alpha-non-monomial", "alpha-no-generators"])
 def test_oracle_rejections(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
@@ -838,3 +843,103 @@ def test_every_degree_sweep_off_the_mirror(h, gens):
     with asked_degrees() as asked:
         assert top_nonzero_degree(3, h, gens, 3) == profile.top_nonzero
     assert asked[0] == oracle._sweep_bound(h, gens, 3)
+
+
+
+NO_POINT_F2 = {(2, 1, 0): 1, (1, 2, 0): 1, (0, 2, 1): 1, (0, 1, 2): 1}  # all of P^2(F_2)
+
+
+
+@st.composite
+def splitting_cases(draw, route):
+    """(p, q, h, generators): a plane curve h of degree d over a
+    finite-colength ideal, built for the route, with p <= 7 and q <= p^2.
+    The walk gets a surviving mixed monomial, a linear form with two or
+    three terms, caps 2q that are no power of p under a curve without a pure
+    power, or a curve through every point of P^2(F_2)."""
+    p = draw(st.sampled_from([5, 7] if route == "shear" else [2, 3, 5, 7]))
+    q = draw(st.sampled_from([p] if route == "walk" else [p, p * p]))
+    d = draw(st.integers(2, p - 1 if route == "shear" else 4))  # p > d: a point off h
+    monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    pure = [tuple(d if k == v else 0 for k in range(3)) for v in range(3)]
+    mixed = [e for e in monomials if e not in pure]
+    ns = [draw(st.integers(1, 2 if q <= 7 else 1)) for _ in range(3)]
+    extra = []
+    if route == "diagonal":
+        terms = pure
+    elif route == "pure-power":
+        terms = [draw(st.sampled_from(pure))] + draw(
+            st.lists(st.sampled_from(mixed), min_size=1, max_size=3, unique=True))
+    elif route == "shear":
+        ns = [1, 1, 1]
+        terms = draw(st.lists(st.sampled_from(mixed), min_size=2, max_size=4, unique=True))
+    else:
+        kind = draw(st.sampled_from(["mixed", "linear", "cap", "no-point"]))
+        terms = draw(st.lists(st.sampled_from(mixed if kind == "cap" else monomials),
+                              min_size=1, max_size=4, unique=True))
+        if kind == "mixed":  # below caps of at least 2, so it survives
+            ns = [draw(st.integers(2, 3)) for _ in range(3)]
+            extra = [{draw(st.sampled_from([(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)])): 1}]
+        elif kind == "linear":
+            extra = [{e: draw(st.integers(1, p - 1)) for e in draw(st.lists(
+                st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                min_size=2, max_size=3, unique=True))}]
+        elif kind == "cap" and p > 2:
+            ns = [2, 2, 2]
+        else:  # no-point, and cap at p = 2, where 2q is a power of p
+            p, q, ns, terms = 2, draw(st.sampled_from([2, 4])), [1, 1, 1], list(NO_POINT_F2)
+    h = {e: draw(st.integers(1, p - 1)) for e in terms}
+    gens = [{tuple(n if k == i else 0 for k in range(3)): 1} for i, n in enumerate(ns)]
+    return p, q, h, gens + extra
+
+
+def _assert_unit_masses(p, q, h, gens, route):
+    """S/(h, g_1^q, ..., g_t^q) is a module over the two variables other
+    than the one h is monic in (after the shear, if need be), with d
+    generators x_v^j, t*d relations x_v^j g_i^q and free second syzygies of
+    rank K = (t - 1)*d in degrees e_k.  With C(s) = max(s + 1, 0),
+
+        R(m) = l_m - sum_j C(m - j) + sum_(i,j) C(m - D_i - j) = sum_k C(m - e_k)
+
+    for j < d and D_i = q deg g_i, so the second difference of R is the
+    number of e_k at m: never negative, and K in all.  Checked from
+    ``length`` at every degree up to two past the sweep bound, so it tests
+    each route's ranks with no closed form involved."""
+    path, length, _ = quotient_lengths(p, h, gens, q)
+    assert path == ("pure-power" if route == "shear" else route)
+    d = poly_degree(h)
+    shifts = [q * poly_degree(g) + j for g in gens for j in range(d)]
+
+    def c(s):
+        return max(s + 1, 0)
+
+    r = [0, 0]  # R(-2), R(-1)
+    for m in range(oracle._sweep_bound(h, gens, q) + 3):
+        r.append(length(m) - sum(c(m - j) for j in range(d)) + sum(c(m - s) for s in shifts))
+    masses = [r[m] - 2 * r[m - 1] + r[m - 2] for m in range(2, len(r))]
+    assert min(masses) >= 0
+    assert sum(masses) == (len(gens) - 1) * d
+
+
+@pytest.mark.parametrize("route", ["diagonal", "pure-power", "shear", "walk"])
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_lengths_split_into_unit_masses(route, data):
+    _assert_unit_masses(*data.draw(splitting_cases(route)), route)
+
+
+@pytest.mark.parametrize("case", [
+    (5, 5, FERMAT4, XYZ_VARS, "diagonal"),
+    (5, 25, FERMAT4, XYZ_VARS, "diagonal"),
+    (5, 25, trinomial_poly(TypeII(4, 1, 2, 1, 1, 3)), XYZ_VARS, "pure-power"),
+    (3, 9, QUADRIC_CONE, XYZ_VARS, "pure-power"),
+    (5, 25, trinomial_poly(cyclic(4)), XYZ_VARS, "shear"),
+    (5, 5, trinomial_poly(cyclic(4)), variable_powers(3, 2), "walk"),
+    (7, 1, trinomial_poly(cyclic(4)),
+     [parse_polynomial(g, 3) for g in ("x^9", "y^9", "z^9", "x^4*y^4")], "walk"),
+    (3, 3, FERMAT4, [parse_polynomial(g, 3) for g in ("x + y", "y^2", "z^2")], "walk"),
+    (2, 2, NO_POINT_F2, XYZ_VARS, "walk"),
+], ids=["fermat4-q5", "fermat4-q25", "typeII-q25", "quadric-cone-q9", "cyclic4-q25",
+        "cyclic4-caps10", "cyclic4-mixed-K12", "fermat4-linear", "all-of-P2F2"])
+def test_named_quotients_split_into_unit_masses(case):
+    _assert_unit_masses(*case)

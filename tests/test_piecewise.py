@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import combine_by_lookup, subtract_by_negation
+from hkfun import piecewise
 from hkfun.piecewise import (
     PiecewisePolynomial,
     Polynomial,
@@ -156,6 +157,8 @@ def test_continuity_flag():
 def test_fraction_helpers():
     assert as_fraction("3/4") == Fraction(3, 4)
     assert as_fraction(5) == 5
+    with pytest.raises(ValueError, match="^'1/0' has a zero denominator$"):
+        as_fraction("1/0")
     assert fraction_str(Fraction(-7, 2)) == "-7/2"
     assert fraction_str(Fraction(4, 2)) == "2"
 
@@ -184,6 +187,21 @@ def test_nonneg_on_closed():
     wiggle = Polynomial([0, -1, 0, 1])  # x^3 - x: negative on (0,1)
     assert not is_nonneg_on_closed(wiggle, 0, 1)
     assert is_nonneg_on_closed(wiggle, 1, 10)
+
+
+def test_nonneg_on_closed_runs_one_gcd(monkeypatch):
+    """The odd part is squarefree, so the one gcd that builds it decides:
+    its roots are counted without a second."""
+    gcds = []
+    gcd = piecewise._gcd_derivative
+
+    def counted(p):
+        gcds.append(p)
+        return gcd(p)
+
+    monkeypatch.setattr(piecewise, "_gcd_derivative", counted)
+    assert not is_nonneg_on_closed(Polynomial([-2, 0, 1]), 0, 3)  # x^2 - 2
+    assert gcds == [Polynomial([-2, 0, 1])]
 
 
 def test_is_nonnegative_piecewise():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from fractions import Fraction
 from itertools import product
@@ -215,6 +216,20 @@ def test_f_threshold_values():
     assert f_threshold(cyclic(5), 1, 11) == Fraction(3, 2) + Fraction(7, 10 * 11 ** 3)
     assert f_threshold(cyclic(6), 1, 19) == Fraction(3, 2) + Fraction(1, 2 * 19 ** 2)
     assert f_threshold(cyclic(7), 1, 29) == Fraction(3, 2) + Fraction(1, 14 * 29)
+
+
+def test_witness_is_the_first_quintic_of_multiplicity_3():
+    """The defining property of the witness, by a search over the degree-5
+    shapes in lexicographic exponent order."""
+    def multiplicity(shape):
+        with contextlib.suppress(ValueError):  # no curve, or not a trinomial of the theory
+            kind = classify(TypeI(*shape))
+            return kind.multiplicity if isinstance(kind, Irregular) else None
+
+    shapes = [(a1, 5 - a1, b1, 5 - b1, c1, 5 - c1)
+              for a1, b1, c1 in product(range(6), repeat=3)]
+    first = next(shape for shape in shapes if multiplicity(shape) == 3)
+    assert TypeI(*first) == irregular_quintic_witness()
 
 
 def test_f_threshold_irregular():
