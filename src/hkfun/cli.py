@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coordinate-power exponent for the default ideal (default 1)")
     _curve_options(p_ora, required=False).add_argument(
         "--hypersurface", help="e.g. 'x*y - z^2'")
-    p_ora.add_argument("--vars", type=int, help="number of variables (2-4)")
+    p_ora.add_argument("--vars", type=int, help="number of variables (1-4)")
     p_ora.add_argument("--gens", help="comma-separated generators")
     p_ora.add_argument("--op", choices=("profile", "ehk", "fthreshold", "fn"),
                        default="profile")
@@ -451,6 +451,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < least:
                 raise ValueError(f"--{name} must be >= {least}, got {value}")
+        if getattr(args, "vars", None) is not None and args.vars > oracle.MAX_VARS:
+            raise ValueError(f"--vars must be <= {oracle.MAX_VARS}, got {args.vars}")
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"hkfun: error: {exc}", file=sys.stderr)

@@ -67,13 +67,16 @@ degree m, so a sweep or a bisection pays for the setup once.
 
 All three paths end in one rank kernel, ``dense_rank_modp``.  It first peels
 singletons: a row or column with one nonzero is a pivot, and zero rows and
-columns drop out, pass after pass.  The core left is eliminated in int64
-with delayed reduction, after the FFLAS/FFPACK kernels of Dumas, Giorgi and
-Pernet (ACM TOMS 2008): a step reduces only the pivot column and the pivot
-row mod p, subtracts their outer product from the trailing block unreduced,
-and the block is reduced only when one more step could carry an entry past
-2^62.  A step moves an entry by less than (p - 1)^2, so p must be below
-2^31, which ``quotient_lengths`` checks.  No float is involved.
+columns drop out, pass after pass.  The core left is eliminated with delayed
+reduction, after the FFLAS/FFPACK kernels of Dumas, Giorgi and Pernet (ACM
+TOMS 2008): a step reduces only the pivot column and the pivot row mod p,
+subtracts their outer product from the trailing block unreduced, and the
+block is reduced only when one more step could carry an entry past the
+bound of its type.  As there, the type follows from p (``_rank_dtype``):
+a step moves an entry by less than (p - 1)^2, so int32, with the bound
+2^30, holds a step for p <= 32749, and int64, with 2^62, for p < 2^31,
+which ``quotient_lengths`` checks.  The paths build their matrices in that
+type.  No float is involved.
 
 ``colength_profile`` and ``top_nonzero_degree`` rank only the upper half of
 a profile when the bracketed generators are exactly the pure powers
@@ -121,6 +124,11 @@ from .trinomial import is_prime
 Poly = Mapping[tuple[int, ...], int]
 
 _RESIDUAL_CELL_LIMIT = 6_000_000
+# the largest degree q*deg(g) of a bracketed generator: the tables sized by
+# it (the t_m of the Gorenstein mirror, the columns of the pure-power
+# reductions, the diagonal blocks) would outgrow memory past it, and no path
+# finishes a degree of that size anyway
+_BRACKET_DEGREE_LIMIT = 1 << 16
 
 
 class OracleError(ValueError):
@@ -202,11 +210,12 @@ def trinomial_poly(curve) -> dict[tuple[int, int, int], int]:
 
 
 _VAR_NAMES = "xyzw"
+MAX_VARS = len(_VAR_NAMES)  # the variables a polynomial can be written in
 
 
 def parse_polynomial(text: str, num_vars: int) -> dict[tuple[int, ...], int]:
     """Parse expressions like ``x^2*y - 3*z^3`` into an exponent-dict."""
-    if num_vars > len(_VAR_NAMES):
+    if num_vars > MAX_VARS:
         raise ValueError("at most four variables are supported")
     cleaned = text.replace(" ", "").replace("**", "^")
     if not cleaned:
@@ -262,6 +271,12 @@ def _check_prime_bound(p: int) -> None:
                          f"int64 only for p < 2^31")
 
 
+def _rank_dtype(p: int) -> type:
+    """The type ``dense_rank_modp`` eliminates in: int32 when one unreduced
+    step fits below 2^30 (p^2 < 2^30, so p <= 32749), int64 otherwise."""
+    return np.int32 if p * p < 1 << 30 else np.int64
+
+
 def _peel_singletons(a: np.ndarray) -> tuple[int, np.ndarray]:
     """Pivots found by peeling singletons off a, and the core left over.
 
@@ -295,19 +310,27 @@ def _peel_singletons(a: np.ndarray) -> tuple[int, np.ndarray]:
 def dense_rank_modp(matrix: np.ndarray, p: int) -> int:
     """Rank of an integer matrix over F_p, for a prime p < 2^31.
 
-    Singletons are peeled first (``_peel_singletons``); the core is then
-    eliminated in int64 with delayed reduction.  At each step only the pivot
-    column (to find the pivot) and the pivot row (scaled to a leading 1) are
-    reduced mod p; the update ``block -= outer(col, row)`` of the trailing
-    block is not.  Reduced factors are below p, so a step moves an entry by
-    less than (p - 1)^2, and the block is reduced only when one more step
-    could carry an entry past 2^62."""
+    The matrix is reduced mod p and cast to ``_rank_dtype(p)``: int32 for
+    p <= 32749, int64 above.  Singletons are peeled first
+    (``_peel_singletons``); the core is then eliminated with delayed
+    reduction.  At each step only the pivot column (to find the pivot) and
+    the pivot row (scaled to a leading 1) are reduced mod p; the update
+    ``block -= outer(col, row)`` of the trailing block is not.  Reduced
+    factors are below p, so a step moves an entry by less than (p - 1)^2, and
+    the block is reduced only when one more step could carry an entry past
+    2^30 in int32 or 2^62 in int64."""
     _check_prime_bound(p)
-    rank, a = _peel_singletons(np.asarray(matrix, dtype=np.int64) % p)
+    dtype = _rank_dtype(p)
+    a = np.asarray(matrix)
+    # a matrix of another type may hold entries the narrow type cannot
+    a = a % p if a.dtype == dtype else \
+        (np.asarray(a, dtype=np.int64) % p).astype(dtype, copy=False)
+    rank, a = _peel_singletons(a)
     if a.shape[0] < a.shape[1]:
         a = a.T.copy()  # pivot over the shorter side
     rows, cols = a.shape
-    room = ((1 << 62) - p) // (p - 1) ** 2  # unreduced steps the block can take
+    limit = 1 << (np.iinfo(dtype).bits - 2)  # 2^30 in int32, 2^62 in int64
+    room = (limit - p) // (p - 1) ** 2  # unreduced steps the block can take
     pending = 0
     r = 0  # pivots found in the core, and the next pivot row
     for c in range(cols):
@@ -447,7 +470,7 @@ def _walk_lengths(p: int, hyp: Optional[Poly], caps: Sequence[Optional[int]],
                 f"the residual rank of degree {m} is a {len(rows)} x {len(columns)} "
                 f"matrix, beyond the size cap of {_RESIDUAL_CELL_LIMIT} entries")
         index = {r: i for i, r in enumerate(rows)}
-        a = np.zeros((len(rows), len(columns)), dtype=np.int64)
+        a = np.zeros((len(rows), len(columns)), dtype=_rank_dtype(p))
         for j, vec in enumerate(columns):
             for r, c in vec.items():
                 a[index[r], j] = c
@@ -466,19 +489,26 @@ def _pure_power_lengths(p: int, hyp: Poly, caps: Sequence[int],
     # x_v^j x_a^s x_b^(k-j-s).  Multiplying by x_v shifts j up and replaces
     # x_v^d by -(h - lead*x_v^d)/lead.  Terms with x_b-exponent >= c_b are
     # kept: nothing divides back out of the ideal, so the rows drop them.
+    # Row j of the product sums its sources: row j - 1 with weight 1, and for
+    # each tail term c x_v^j x_a^e the top row shifted by e, with weight c
+    # (row 0 gets a zero source, so that every row has one).  A step gathers
+    # every source at once, reduces each product mod p and sums per row; the
+    # sums stay below (sources per row)*p, so int64 holds them for p < 2^31.
     inv = pow(hyp[tuple(d if i == v else 0 for i in range(3))], -1, p)
-    tail = [(e[v], e[a], (-c * inv) % p) for e, c in hyp.items()
-            if e[v] < d and e[a] < ca]
+    sources = sorted([(0, 0, 0, 0)] + [(j, j - 1, 0, 1) for j in range(1, d)]
+                     + [(e[v], d - 1, e[a], (-c * inv) % p) for e, c in hyp.items()
+                        if e[v] < d and e[a] < ca])
+    target, row, shift, weight = (np.array(x, dtype=np.int64) for x in zip(*sources))
+    s = np.arange(ca) - shift[:, None]
+    inside = s >= 0
+    gather = np.where(inside, row[:, None] * ca + s, 0)  # flat positions in state
+    weights = np.where(inside, weight[:, None], 0)
+    starts = np.searchsorted(target, np.arange(d))
     state = np.zeros((d, ca), dtype=np.int64)
     state[0, 0] = 1
     reductions = []
     for k in range(1, cv + d):
-        top = state[d - 1]
-        state = np.roll(state, 1, axis=0)
-        state[0] = 0
-        for ev, ea, c in tail:
-            # reduced per term: entries < p and products < p^2 stay in int64
-            state[ev, ea:] = (state[ev, ea:] + c * top[:ca - ea]) % p
+        state = np.add.reduceat(weights * np.take(state, gather) % p, starts) % p
         if k >= cv:
             reductions.append(state)
 
@@ -486,7 +516,8 @@ def _pure_power_lengths(p: int, hyp: Poly, caps: Sequence[int],
     # nz_val at x_v^j x_a^e
     stacked = np.array(reductions)
     nz_i, nz_j, nz_e = np.nonzero(stacked)
-    nz_val = stacked[nz_i, nz_j, nz_e]
+    dtype = _rank_dtype(p)
+    nz_val = stacked[nz_i, nz_j, nz_e].astype(dtype)
     steps = np.arange(d)
 
     def spans(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -510,7 +541,7 @@ def _pure_power_lengths(p: int, hyp: Poly, caps: Sequence[int],
         lo = np.maximum(col_lo[nz_i], row_lo[nz_j] - nz_e)
         count = np.maximum(np.minimum(col_hi[nz_i], row_hi[nz_j] - nz_e) - lo, 0)
         t = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-        matrix = np.zeros((nrows, ncols), dtype=np.int64)
+        matrix = np.zeros((nrows, ncols), dtype=dtype)
         matrix[t + np.repeat(row_base[nz_j] + nz_e, count),
                t + np.repeat(col_base[nz_i], count)] = np.repeat(nz_val, count)
         return nrows - dense_rank_modp(matrix, p)
@@ -522,7 +553,8 @@ def _diagonal_lengths(p: int, caps: Sequence[int], d: int) -> Callable[[int], in
     # a[i] = ceil((c_x - i)/d) >= 0, the least alpha with x^(d*alpha + i) in
     # the ideal, and likewise b[j] from c_y and k[r] from c_z
     a, b, k = ([-((i - c) // d) for i in range(d)] for c in caps)
-    binomials = {ea: np.array([math.comb(ea, e) % p for e in range(ea + 1)], dtype=np.int64)
+    dtype = _rank_dtype(p)
+    binomials = {ea: np.array([math.comb(ea, e) % p for e in range(ea + 1)], dtype=dtype)
                  for ea in set(a)}
     blocks: dict[tuple[int, int, int, int], int] = {}
 
@@ -537,7 +569,7 @@ def _diagonal_lengths(p: int, caps: Sequence[int], d: int) -> Callable[[int], in
             return nrows
         diff = np.arange(row_lo, row_hi)[:, None] - np.arange(col_lo, col_hi)
         inside = (diff >= 0) & (diff <= ea)
-        matrix = np.zeros(diff.shape, dtype=np.int64)
+        matrix = np.zeros(diff.shape, dtype=dtype)
         matrix[inside] = binomials[ea][diff[inside]]
         return nrows - dense_rank_modp(matrix, p)
 
@@ -636,11 +668,13 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly],
     diagonal or the pure-power path where one applies; the rest walks.
 
     Raises ValueError when p is not prime or not below 2^31, q is not a
-    power of p, a polynomial is constant or not homogeneous, or a coefficient
-    is 0 mod p: the brackets rest on freshman's dream, the rank kernel on
-    int64 arithmetic (``dense_rank_modp``), the grading on homogeneous forms
-    of positive degree, and the path choice on the terms of h mod p.  The
-    checks run once, before any path looks at a degree."""
+    power of p, a polynomial is constant or not homogeneous, a coefficient
+    is 0 mod p, or a bracketed generator passes degree 2^16: the brackets
+    rest on freshman's dream, the rank kernel on int64 arithmetic
+    (``dense_rank_modp``), the grading on homogeneous forms of positive
+    degree, the path choice on the terms of h mod p, and the tables on
+    degrees that fit in memory.  The checks run once, before any path looks
+    at a degree."""
     if num_vars is None:
         num_vars = _num_vars(hypersurface, generators)
     if not is_prime(p):
@@ -653,6 +687,10 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly],
             raise ValueError("polynomials must have positive degree")
         if any(c % p == 0 for c in poly.values()):
             raise ValueError(f"a coefficient of {dict(poly)} is 0 mod {p}")
+    top = q * max(map(poly_degree, generators), default=0)
+    if top > _BRACKET_DEGREE_LIMIT:
+        raise ValueError(f"q = {q} is too large: the bracketed generators reach degree "
+                         f"{top}, past the oracle's limit of {_BRACKET_DEGREE_LIMIT}")
     hyp = normalize_poly(hypersurface, p) if hypersurface is not None else None
     gens_q = [frobenius_power(g, q, p) for g in generators]
     caps, mixed = _caps_and_mixed([next(iter(g)) for g in gens_q if len(g) == 1],
@@ -748,6 +786,20 @@ def colength_profile(p: int, hypersurface: Optional[Poly],
     return ColengthProfile(p=p, q=q, lengths=lengths, top_nonzero=start + len(upper) - 1)
 
 
+def _finite_quotient(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
+                     q: int) -> tuple[int, Callable[[int], int], Optional[Mirror]]:
+    """(bound, length, mirror): the sweep bound and ``quotient_lengths``'s
+    length and mirror, for an ideal of finite colength.  The caps of the
+    mirror give that; without it the length at the sweep bound must be zero,
+    and OracleError is raised when it is not."""
+    bound = _sweep_bound(hypersurface, generators, q)
+    _, length, mirror = quotient_lengths(p, hypersurface, generators, q)
+    if mirror is None and length(bound) != 0:
+        raise OracleError("no zero tail at the sweep bound; the ideal does "
+                          "not have finite colength")
+    return bound, length, mirror
+
+
 def top_nonzero_degree(p: int, hypersurface: Optional[Poly],
                        generators: Sequence[Poly], q: int) -> int:
     """Largest degree with a nonzero piece, located by bisection.
@@ -759,8 +811,7 @@ def top_nonzero_degree(p: int, hypersurface: Optional[Poly],
     top is the last lower degree with a positive t_k - t_(k-d); otherwise it
     gallops upward (steps 1, 2, 4, ... up to the sweep bound) and bisects.
     """
-    hi = _sweep_bound(hypersurface, generators, q)
-    _, length, mirror = quotient_lengths(p, hypersurface, generators, q)
+    hi, length, mirror = _finite_quotient(p, hypersurface, generators, q)
     if mirror is not None:
         n_top, excess = mirror
         lo = (n_top + 1) // 2
@@ -771,9 +822,6 @@ def top_nonzero_degree(p: int, hypersurface: Optional[Poly],
         while (probe := min(lo + step, hi)) < hi and length(probe) != 0:
             lo, step = probe, 2 * step
         hi = probe
-    elif length(hi) != 0:
-        raise OracleError("no zero tail at the sweep bound; the ideal does "
-                          "not have finite colength")
     else:
         lo = 0  # degree zero is never zero: the quotient contains the constants
     while hi - lo > 1:
@@ -792,12 +840,13 @@ def _pair_dimension(hypersurface: Optional[Poly], generators: Sequence[Poly]) ->
 def fn_sample(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
               q: int, x: Fraction) -> Fraction:
     """Normalized graded length at degree floor(x*q) for a two-dimensional
-    pair: the finite-q sample of the density function."""
+    pair: the finite-q sample of the density function.  Raises OracleError
+    when the ideal does not have finite colength."""
     if _pair_dimension(hypersurface, generators) != 2:
         raise ValueError("density samples are defined for two-dimensional pairs")
+    _, length, _ = _finite_quotient(p, hypersurface, generators, q)
     m = math.floor(Fraction(x) * q)  # negative for x < 0, where every length is 0
-    value = graded_piece_length_raw(p, hypersurface, generators, q, m)
-    return Fraction(value, q)
+    return Fraction(length(m), q)
 
 
 def ehk_estimate(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],

@@ -205,6 +205,18 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
      "--vars must be >= 1, got 0"),
     (("oracle", "--prime", "3", "--q", "3", "--vars", "-1"),
      "--vars must be >= 1, got -1"),
+    (("oracle", "--prime", "5", "--q", "25", "--vars", "5"),
+     "--vars must be <= 4, got 5"),
+    (("oracle", "--prime", "3", "--q", "3", "--gens", "x*y", "--vars", "2", "--op", "fn",
+      "--x", "1/2"),
+     "no zero tail at the sweep bound; the ideal does not have finite colength"),
+    (("oracle", "--prime", "2", "--q", str(2**64), "--hypersurface", "x*y - z^2"),
+     f"q = {2**64} is too large: the bracketed generators reach degree {2**64}, "
+     "past the oracle's limit of 65536"),
+    (("oracle", "--prime", "2", "--q", str(2**40), "--hypersurface", "x*y - z^2",
+      "--op", "fthreshold"),
+     f"q = {2**40} is too large: the bracketed generators reach degree {2**40}, "
+     "past the oracle's limit of 65536"),
     (("density", "--in", "pair.json", "--mult", "5"),
      "--mult is read only with --degrees, not with --in"),
     (("segre", "--left", "a.json", "--right", "b.json", "--mult", "2"),
@@ -249,6 +261,7 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
 ], ids=["table-prime-4", "prime-divides-2lambda", "table-prime-divides-2lambda",
         "table-prime-divides-2lambda-cyclic", "samples-0", "samples-negative", "samples-1",
         "precision-trinomial", "x-without-fn", "vars-with-curve", "vars-0", "vars-negative",
+        "vars-5", "fn-without-finite-colength", "q-2^64", "q-2^40",
         "mult-with-in", "mult-with-left", "n-with-gens", "precision-with-table",
         "precision-density-json", "precision-density-csv", "precision-oracle-profile",
         "precision-oracle-fn", "precision-oracle-csv", "precision-trinomial-csv",

@@ -84,12 +84,25 @@ def rank_matrices(draw):
     return a, p
 
 
+def _near_p_low_rank(seed, p, rows, cols, r):
+    """p - U V for U, V with entries in [1, 5]: every entry lies in
+    [p - 25r, p - r], and the rank mod p is at most r."""
+    rng = np.random.default_rng(seed)
+    return p - rng.integers(1, 6, (rows, r)) @ rng.integers(1, 6, (r, cols))
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(rank_matrices())
 # at p = 2^31 - 1 one unreduced step can take an entry to about 2^62, so the
 # kernel must reduce the block before every step: dense, large entries
 @example((np.random.default_rng(5).integers(2**31 - 40, 2**31 - 1, (30, 24)), 2**31 - 1))
 @example((np.zeros((0, 5), dtype=np.int64), 3))
+# the largest prime eliminated in int32, where one unreduced step has room
+# below 2^30 and the block is reduced before every step, and the least prime
+# eliminated in int64: dense entries near p, of rank 12 (a full-rank matrix
+# would keep its rank under a wrapped entry)
+@example((_near_p_low_rank(7, 32749, 30, 24, 12), 32749))
+@example((_near_p_low_rank(8, 32771, 24, 30, 12), 32771))
 def test_dense_rank_modp_matches_plain_elimination(case):
     a, p = case
     before = a.copy()
@@ -112,6 +125,27 @@ def test_prime_bound_of_the_int64_kernel():
     assert lengths == [brute_graded_length(p, h, gens, 1, m, 3) for m in range(12)]
     with pytest.raises(ValueError, match="p < 2\\^31"):
         quotient_lengths(2147483659, h, gens, 1)
+
+
+def test_pure_power_reductions_with_many_terms_at_the_prime_bound():
+    """The reductions take every tail term of h in one step.  Here h =
+    (x + y)(x + y + z)^3 has thirteen terms beside x^4, and at p = 2^31 - 1
+    each tail weight -c is near p, so a row of a step sums several reduced
+    products near 2^62: summed unreduced they would pass 2^63 and change the
+    lengths from degree 8 on.  Every degree agrees with the definition."""
+    p = 2**31 - 1
+    h = {(0, 0, 0): 1}
+    x_plus_y = {(1, 0, 0): 1, (0, 1, 0): 1}
+    x_plus_y_plus_z = {**x_plus_y, (0, 0, 1): 1}
+    for factor in (x_plus_y, x_plus_y_plus_z, x_plus_y_plus_z, x_plus_y_plus_z):
+        h = oracle._poly_mul(h, factor, p)
+    assert len(h) == 14 and h[(4, 0, 0)] == 1
+    gens = [{(5, 0, 0): 1}, {(0, 5, 0): 1}, {(0, 0, 5): 1}]
+    path, length, _ = quotient_lengths(p, h, gens, 1)
+    assert path == "pure-power"
+    degrees = range(3 * 4 + 4 + 2)  # past the top degree N = 16
+    assert [length(m) for m in degrees] == \
+        [brute_graded_length(p, h, gens, 1, m, 3) for m in degrees]
 
 
 def _walk(p, h, gens, q):
@@ -334,13 +368,17 @@ def test_monomial_alpha_rejects_infinite_colength():
      "no zero tail at the sweep bound; the ideal does not have finite colength"),
     (lambda: fn_sample(3, None, XYZ_VARS, 3, Fraction(1)), ValueError,
      "density samples are defined for two-dimensional pairs"),
+    # (xy) in k[x, y]: x^m survives at every degree, and at degree floor(q/2)
+    (lambda: fn_sample(3, None, [{(1, 1): 1}], 3, Fraction(1, 2)), OracleError,
+     "no zero tail at the sweep bound; the ideal does not have finite colength"),
     (lambda: monomial_alpha(1, [{(2,): 1}]), ValueError,
      "the support formula needs dimension >= 2"),
     (lambda: monomial_alpha(2, [{(2, 0): 1, (0, 2): 1}, {(0, 3): 1}]), ValueError,
      "generators must be monomials"),
     (lambda: monomial_alpha(2, []), OracleError,
      "the zero ideal does not have finite colength"),
-], ids=["top-without-zero-tail", "fn-not-two-dimensional", "alpha-one-variable",
+], ids=["top-without-zero-tail", "fn-not-two-dimensional", "fn-without-zero-tail",
+        "alpha-one-variable",
         "alpha-non-monomial", "alpha-no-generators"])
 def test_oracle_rejections(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -13,8 +13,9 @@ is the least that can show a change winning nine of ten.
 The output, written at ``--out`` relative to the root of this checkout,
 names each side's commit (``git rev-parse HEAD``) and whether its tree had
 uncommitted changes, and holds for each workload each run's ``correct``,
-``attempted`` and ``failed`` counts and, per end-to-end metric, both sides'
-raw values in pair order, each side's median and quartiles
+``attempted`` and ``failed`` counts, each side's median ``attempted`` count
+and the ratio of the two (change over parent), and, per end-to-end metric,
+both sides' raw values in pair order, each side's median and quartiles
 (``statistics.quantiles``, n=4), the number of pairs the change won
 (strictly better in the metric's direction), and whether the change's
 median beats the parent's by more than the distance between the parent's
@@ -64,6 +65,16 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "quartiles": [q1, q3]}
 
 
+def _attempted_median(attempted: dict) -> dict:
+    """Each side's median count of attempted jobs and their ratio, change
+    over parent: a metric that grows with the jobs a run completes, such as
+    ``peak_rss_mb``, moves with it.  None where a run gave no count."""
+    if any(n is None for ns in attempted.values() for n in ns):
+        return {"parent": None, "change": None, "ratio": None}
+    medians = {side: statistics.median(ns) for side, ns in attempted.items()}
+    return {**medians, "ratio": medians["change"] / medians["parent"]}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="root of the parent checkout")
@@ -107,11 +118,12 @@ def main() -> int:
                     "gap_exceeds_parent_iqr": gap > iqr,
                 })
             metrics[key] = entry
+        counts = {key: {side: [r[key] for r in rs] for side, rs in runs.items()}
+                  for key in ("correct", "attempted", "failed")}
         workloads[name] = {"seeds": seeds, "seconds": spec["run_seconds"],
                            "first": ["parent" if i % 2 == 0 else "change"
                                      for i in range(len(seeds))],
-                           **{key: {side: [r[key] for r in rs] for side, rs in runs.items()}
-                              for key in ("correct", "attempted", "failed")},
+                           **counts, "attempted_median": _attempted_median(counts["attempted"]),
                            "metrics": metrics}
 
     record = {**commits,
