@@ -301,8 +301,6 @@ def _cmd_oracle(args) -> int:
                "ehk_dec": decimal_string(value, _precision(args))},
               [{"ehk_estimate": fraction_str(value)}], args)
     elif args.op == "fthreshold":
-        if hyp is None:
-            raise ValueError("fthreshold needs a hypersurface")
         if args.gens is not None:
             raise ValueError("fthreshold takes the coordinate powers of --n, not --gens")
         value = oracle.fthreshold_estimate(p, hyp, n, q)

@@ -6,12 +6,14 @@ degree-m piece the matrix columns are all monomial multiples (of the right
 degree) of the hypersurface and of the q-th powers of the generators,
 expressed in the monomial basis; the graded length is dim - rank.
 
-``quotient_lengths`` sets up one quotient R/I^[q] once: it checks the input,
-brackets the generators and sorts them into caps (the least pure power of
-each variable) and surviving mixed monomials; a mixed monomial that a pure
-power divides adds nothing to the ideal and is dropped.  That one analysis
-picks one of three rank paths and the Gorenstein mirror below; it returns
-the path, ``length(m)`` and the mirror.  ``length`` does only the work of
+``quotient_lengths`` sets up one quotient R/I^[q] once: it checks the input
+(the number of variables is the one length of every exponent tuple of h and
+the generators, never an option), brackets the generators and sorts them
+into caps (the least pure power of each variable) and surviving mixed
+monomials; a mixed monomial that a pure power divides adds nothing to the
+ideal and is dropped.  That one analysis picks one of three rank paths and
+the Gorenstein mirror below; it returns the path, ``length(m)`` and the
+mirror.  ``length`` does only the work of
 degree m, so a sweep or a bisection pays for the setup once.
 
 - ``"diagonal"``: three variables, every generator a pure power (caps c_x,
@@ -112,7 +114,7 @@ import heapq
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from typing import Callable, Iterator, Mapping, Optional, Sequence
@@ -124,11 +126,12 @@ from .trinomial import is_prime
 Poly = Mapping[tuple[int, ...], int]
 
 _RESIDUAL_CELL_LIMIT = 6_000_000
-# the largest degree q*deg(g) of a bracketed generator: the tables sized by
-# it (the t_m of the Gorenstein mirror, the columns of the pure-power
-# reductions, the diagonal blocks) would outgrow memory past it, and no path
+# the largest degree of h and of a bracketed generator g^[q]: the tables
+# sized by them (the t_m of the Gorenstein mirror, the pure-power reductions,
+# the diagonal blocks and classes) would outgrow memory past it, and no path
 # finishes a degree of that size anyway
 _BRACKET_DEGREE_LIMIT = 1 << 16
+_NO_ZERO_TAIL = "no zero tail at the sweep bound; the ideal does not have finite colength"
 
 
 class OracleError(ValueError):
@@ -145,13 +148,6 @@ def poly_degree(poly: Poly) -> int:
     if len(degs) != 1:
         raise ValueError("polynomials must be homogeneous")
     return degs.pop()
-
-
-def poly_num_vars(poly: Poly) -> int:
-    lens = {len(e) for e in poly}
-    if len(lens) != 1:
-        raise ValueError("mixed exponent lengths")
-    return lens.pop()
 
 
 def normalize_poly(poly: Poly, p: int) -> dict[tuple[int, ...], int]:
@@ -644,9 +640,23 @@ def _gorenstein_mirror(caps: Sequence[int], d: int) -> Mirror:
 
 
 def _num_vars(hyp: Optional[Poly], gens: Sequence[Poly]) -> int:
+    """The number of variables h and the generators are written in: the one
+    length of every exponent tuple of them all."""
     if hyp is None and not gens:
         raise OracleError("the zero ideal does not have finite colength")
-    return poly_num_vars(hyp if hyp is not None else gens[0])
+    counts = sorted({len(e) for poly in ([hyp] if hyp is not None else []) + list(gens)
+                     for e in poly})
+    if len(counts) != 1:
+        raise ValueError("the polynomials mix numbers of variables: "
+                         + ", ".join(map(str, counts)))
+    return counts[0]
+
+
+def _check_num_vars(num_vars: int, hyp: Optional[Poly], gens: Sequence[Poly]) -> None:
+    """A count given beside the polynomials must be theirs."""
+    if num_vars != (found := _num_vars(hyp, gens)):
+        raise ValueError(f"num_vars = {num_vars}, but the polynomials are written "
+                         f"in {found} variables")
 
 
 def _is_power_of(q: int, p: int) -> bool:
@@ -655,9 +665,8 @@ def _is_power_of(q: int, p: int) -> bool:
     return q == 1
 
 
-def quotient_lengths(p: int, hypersurface: Optional[Poly],
-                     generators: Sequence[Poly], q: int, num_vars: Optional[int] = None
-                     ) -> tuple[str, Callable[[int], int], Optional[Mirror]]:
+def quotient_lengths(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
+                     q: int) -> tuple[str, Callable[[int], int], Optional[Mirror]]:
     """Set up S/(h, g_1^q, ..., g_t^q) once and return (path, length,
     mirror): its rank path ("diagonal", "pure-power" or "walk"),
     ``length(m)``, the length of its degree-m piece, and the Gorenstein
@@ -667,16 +676,16 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly],
     x_1^c_1, ..., x_n^c_n gets the mirror, and in three variables the
     diagonal or the pure-power path where one applies; the rest walks.
 
-    Raises ValueError when p is not prime or not below 2^31, q is not a
-    power of p, a polynomial is constant or not homogeneous, a coefficient
-    is 0 mod p, or a bracketed generator passes degree 2^16: the brackets
-    rest on freshman's dream, the rank kernel on int64 arithmetic
-    (``dense_rank_modp``), the grading on homogeneous forms of positive
-    degree, the path choice on the terms of h mod p, and the tables on
-    degrees that fit in memory.  The checks run once, before any path looks
-    at a degree."""
-    if num_vars is None:
-        num_vars = _num_vars(hypersurface, generators)
+    Raises ValueError when the polynomials mix numbers of variables, p is
+    not prime or not below 2^31, q is not a power of p, a polynomial is
+    constant or not homogeneous, a coefficient is 0 mod p, or h or a
+    bracketed generator passes degree 2^16: the brackets rest on freshman's
+    dream, the rank kernel on int64 arithmetic (``dense_rank_modp``), the
+    grading on homogeneous forms of positive degree, the path choice on the
+    terms of h mod p, and the tables on degrees that fit in memory; and
+    OracleError when there is neither h nor a generator.  The checks run
+    once, before any path looks at a degree."""
+    num_vars = _num_vars(hypersurface, generators)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     _check_prime_bound(p)
@@ -691,6 +700,9 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly],
     if top > _BRACKET_DEGREE_LIMIT:
         raise ValueError(f"q = {q} is too large: the bracketed generators reach degree "
                          f"{top}, past the oracle's limit of {_BRACKET_DEGREE_LIMIT}")
+    if hypersurface is not None and (d := poly_degree(hypersurface)) > _BRACKET_DEGREE_LIMIT:
+        raise ValueError(f"the hypersurface has degree {d}, past the oracle's limit "
+                         f"of {_BRACKET_DEGREE_LIMIT}")
     hyp = normalize_poly(hypersurface, p) if hypersurface is not None else None
     gens_q = [frobenius_power(g, q, p) for g in generators]
     caps, mixed = _caps_and_mixed([next(iter(g)) for g in gens_q if len(g) == 1],
@@ -723,8 +735,11 @@ def graded_piece_length_raw(p: int, hypersurface: Optional[Poly],
                             generators: Sequence[Poly], q: int, m: int,
                             num_vars: Optional[int] = None) -> int:
     """Length of the degree-m piece of S/(h, g_1^q, ..., g_t^q); sweeps and
-    bisections should call ``quotient_lengths`` once instead."""
-    return quotient_lengths(p, hypersurface, generators, q, num_vars)[1](m)
+    bisections should call ``quotient_lengths`` once instead.  A num_vars
+    given must be the number of variables the polynomials are written in."""
+    if num_vars is not None:
+        _check_num_vars(num_vars, hypersurface, generators)
+    return quotient_lengths(p, hypersurface, generators, q)[1](m)
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +748,15 @@ def graded_piece_length_raw(p: int, hypersurface: Optional[Poly],
 
 @dataclass(frozen=True)
 class ColengthProfile:
-    """All graded lengths of R/I^[q] down to the zero tail."""
+    """The graded lengths of R/I^[q] at the degrees 0, 1, ..., top, all nonzero."""
 
     p: int
     q: int
-    lengths: dict[int, int] = field(compare=False)
-    top_nonzero: int
+    lengths: dict[int, int]
+
+    @property
+    def top_nonzero(self) -> int:
+        return len(self.lengths) - 1
 
     def total(self) -> int:
         return sum(self.lengths.values())
@@ -772,18 +790,17 @@ def colength_profile(p: int, hypersurface: Optional[Poly],
             break
         upper[m] = value
     else:
-        raise OracleError("no zero tail before the sweep bound; the ideal does "
-                          "not have finite colength")
+        raise OracleError(_NO_ZERO_TAIL)
     lengths: dict[int, int] = {}
     if mirror is not None:
         n_top, excess = mirror
         for m in range(start):
             value = excess(m) + upper.get(n_top - m, 0)
             if value == 0:
-                return ColengthProfile(p=p, q=q, lengths=lengths, top_nonzero=m - 1)
+                return ColengthProfile(p=p, q=q, lengths=lengths)
             lengths[m] = value
     lengths.update(upper)
-    return ColengthProfile(p=p, q=q, lengths=lengths, top_nonzero=start + len(upper) - 1)
+    return ColengthProfile(p=p, q=q, lengths=lengths)
 
 
 def _finite_quotient(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
@@ -795,8 +812,7 @@ def _finite_quotient(p: int, hypersurface: Optional[Poly], generators: Sequence[
     bound = _sweep_bound(hypersurface, generators, q)
     _, length, mirror = quotient_lengths(p, hypersurface, generators, q)
     if mirror is None and length(bound) != 0:
-        raise OracleError("no zero tail at the sweep bound; the ideal does "
-                          "not have finite colength")
+        raise OracleError(_NO_ZERO_TAIL)
     return bound, length, mirror
 
 
@@ -857,23 +873,25 @@ def ehk_estimate(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly
     return Fraction(profile.total(), q ** dim)
 
 
-def fthreshold_estimate(p: int, hypersurface: Poly, n: int, q: int) -> Fraction:
+def fthreshold_estimate(p: int, hypersurface: Optional[Poly], n: int, q: int) -> Fraction:
     """top_nonzero/q for the pair (curve, (x^n, y^n, z^n)): the finite-q
     F-threshold estimate."""
-    num_vars = poly_num_vars(hypersurface)
-    gens = variable_powers(num_vars, n)
+    if hypersurface is None:
+        raise ValueError("fthreshold needs a hypersurface")
+    gens = variable_powers(_num_vars(hypersurface, []), n)
     return Fraction(top_nonzero_degree(p, hypersurface, gens, q), q)
 
 
 def monomial_alpha(num_vars: int, generators: Sequence[Poly]) -> int:
     """The top nonzero degree of S/J plus num_vars, for a finite-colength
-    monomial ideal J in a polynomial ring S of dimension >= 2.  Monomial
-    lengths do not depend on p, so they are taken at p = 2; the sweep raises
+    monomial ideal J written in num_vars >= 2 variables.  Monomial lengths
+    do not depend on p, so they are taken at p = 2; the sweep raises
     OracleError when J does not have finite colength."""
     if num_vars < 2:
         raise ValueError("the support formula needs dimension >= 2")
     if any(len(g) != 1 for g in generators):
         raise ValueError("generators must be monomials")
+    _check_num_vars(num_vars, None, generators)
     return top_nonzero_degree(2, None, [dict.fromkeys(g, 1) for g in generators], 1) + num_vars
 
 

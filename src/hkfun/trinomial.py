@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 from typing import Optional, Union
 
@@ -219,9 +218,11 @@ def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
     with N_i = (l^s * alpha_i * n) mod 2*lambda for alpha_i in (alpha, beta,
     nu) (the corner distance only depends on v mod 2).  A distance below 1
     forces each coordinate of the witness to be floor(v_i) or floor(v_i) + 1,
-    the latter only when v_i is not an integer, so scanning this corner set
-    is exhaustive; an odd-sum corner u has distance numerator
-    sum |N_i - u_i * lambda|, and T is the least such numerator over lambda.
+    the latter only when v_i is not an integer.  The nearest such corner has
+    distance numerator sum min(r_i, lambda - r_i), r_i = N_i mod lambda; if
+    its sum is even, the nearest odd one moves the non-integral coordinate
+    with the least extra cost |lambda - 2*r_i| (moving two keeps the parity,
+    moving three costs more).  T is the numerator over lambda if below 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -233,23 +234,18 @@ def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
     weights = (inv.alpha * n, inv.beta * n, inv.nu * n)
     ls = 1
     for s in range(multiplicative_order(l, modulus)):
-        corners = []
+        # flip stays lam when every coordinate is an integer: no odd corner
+        parity, dist, flip = 0, 0, lam
         for w in weights:
-            num = (ls * w) % (2 * lam)
-            floor = num // lam
-            rest = num - floor * lam
-            # (coordinate, distance numerator) for floor and, off the
-            # integers, floor + 1
-            corners.append(((floor, rest), (floor + 1, lam - rest)) if rest
-                           else ((floor, 0),))
-        best = None
-        for (u0, e0), (u1, e1), (u2, e2) in product(*corners):
-            if (u0 + u1 + u2) % 2 == 1:
-                dist = e0 + e1 + e2
-                if dist < lam and (best is None or dist < best):
-                    best = dist
-        if best is not None:
-            return TaxicabResult(T=Fraction(best, lam), D=s)
+            floor, rest = divmod((ls * w) % (2 * lam), lam)
+            parity += floor + (2 * rest > lam)
+            dist += min(rest, lam - rest)
+            if rest:
+                flip = min(flip, abs(lam - 2 * rest))
+        if parity % 2 == 0:
+            dist += flip
+        if dist < lam:
+            return TaxicabResult(T=Fraction(dist, lam), D=s)
         ls = (ls * l) % modulus
     return TaxicabResult(T=Fraction(1), D=None)
 

@@ -249,6 +249,8 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
     (("oracle", "--prime", "3", "--q", "3", "--op", "fthreshold"),
      "fthreshold needs a hypersurface"),
     (("oracle", "--prime", "3", "--q", "3", "--op", "fn"), "--x is required for op=fn"),
+    (("oracle", "--prime", "5", "--q", "5", "--fermat", "100000000000000000000"),
+     "the hypersurface has degree 100000000000000000000, past the oracle's limit of 65536"),
     (("syzygy", "--mu", "3", "--d0", "1", "--poldeg", "2", "--slopes", "2,-4", "--ranks", "1,1"),
      "largest slope 2 of V exceeds the slope 0 of M"),
     (("volume", "--degrees", "1,2", "--eval", "1/0"), "'1/0' has a zero denominator"),
@@ -267,7 +269,8 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
         "precision-oracle-fn", "precision-oracle-csv", "precision-trinomial-csv",
         "gens-empty", "n-with-empty-gens", "hypersurface-zero", "sign-without-term",
         "typeI-collinear", "typeII-collinear", "oracle-collinear",
-        "fthreshold-without-hypersurface", "fn-without-x", "syzygy-steeper-than-free",
+        "fthreshold-without-hypersurface", "fn-without-x", "hypersurface-degree-past-limit",
+        "syzygy-steeper-than-free",
         "eval-zero-denominator", "slope-zero-denominator", "x-zero-denominator",
         "unknown-verify-case"])
 def test_invalid_option_is_one_line_error(capsys, argv, message):

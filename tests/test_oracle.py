@@ -377,12 +377,38 @@ def test_monomial_alpha_rejects_infinite_colength():
      "generators must be monomials"),
     (lambda: monomial_alpha(2, []), OracleError,
      "the zero ideal does not have finite colength"),
+    # the polynomials fix the number of variables: h in 3, generators in 2
+    (lambda: quotient_lengths(3, QUADRIC_CONE, XY_VARS, 3), ValueError,
+     "the polynomials mix numbers of variables: 2, 3"),
+    (lambda: colength_profile(3, QUADRIC_CONE, XY_VARS, 3), ValueError,
+     "the polynomials mix numbers of variables: 2, 3"),
+    (lambda: quotient_lengths(3, None, [{(1, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1, 1): 1}], 3),
+     ValueError, "the polynomials mix numbers of variables: 2, 3, 4"),
+    (lambda: monomial_alpha(3, [{(2, 0): 1}, {(0, 3): 1}]), ValueError,
+     "num_vars = 3, but the polynomials are written in 2 variables"),
+    (lambda: graded_piece_length_raw(3, QUADRIC_CONE, XYZ_VARS, 3, 2, num_vars=2), ValueError,
+     "num_vars = 2, but the polynomials are written in 3 variables"),
+    (lambda: fthreshold_estimate(3, None, 1, 3), ValueError,
+     "fthreshold needs a hypersurface"),
 ], ids=["top-without-zero-tail", "fn-not-two-dimensional", "fn-without-zero-tail",
         "alpha-one-variable",
-        "alpha-non-monomial", "alpha-no-generators"])
+        "alpha-non-monomial", "alpha-no-generators", "lengths-mixed-vars",
+        "profile-mixed-vars", "lengths-three-var-counts", "alpha-wrong-count",
+        "length-wrong-count", "fthreshold-without-hypersurface"])
 def test_oracle_rejections(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_profile_is_its_lengths():
+    """Two profiles are equal exactly when their lengths are, and the top is
+    the last degree of the lengths."""
+    profile = colength_profile(3, QUADRIC_CONE, XYZ_VARS, 3)
+    assert profile.top_nonzero == len(profile.lengths) - 1 == max(profile.lengths) == 3
+    assert profile == colength_profile(3, QUADRIC_CONE, XYZ_VARS, 3)
+    assert profile != oracle.ColengthProfile(p=3, q=3, lengths={**profile.lengths, 3: 99})
+    shorter = oracle.ColengthProfile(p=3, q=3, lengths={m: profile.lengths[m] for m in range(3)})
+    assert profile != shorter and shorter.top_nonzero == 2
 
 
 def test_scaling_check():
@@ -557,34 +583,34 @@ def test_diagonal_path_matches_pure_power_and_definition(case):
 
 
 def test_length_path_routes():
-    def length_path(h, gens, num_vars):
-        return quotient_lengths(3, h, gens, 3, num_vars)[0]
+    def length_path(h, gens):
+        return quotient_lengths(3, h, gens, 3)[0]
 
     box = XYZ_VARS
     for h in (fermat(4), fermat(5), fermat(6)):
-        assert length_path(trinomial_poly(h), box, 3) == "diagonal"
+        assert length_path(trinomial_poly(h), box) == "diagonal"
     for h in (TypeII(4, 1, 2, 1, 1, 3), TypeI(0, 5, 0, 5, 3, 2)):
-        assert length_path(trinomial_poly(h), box, 3) == "pure-power"
-    assert length_path(QUADRIC_CONE, box, 3) == "pure-power"
+        assert length_path(trinomial_poly(h), box) == "pure-power"
+    assert length_path(QUADRIC_CONE, box) == "pure-power"
     # a Fermat curve with one term more, and x^d + y^d, are not diagonal
     fermat4 = trinomial_poly(fermat(4))
-    assert length_path({**fermat4, (2, 1, 1): 1}, box, 3) == "pure-power"
-    assert length_path({(4, 0, 0): 1, (0, 4, 0): 1}, box, 3) == "pure-power"
+    assert length_path({**fermat4, (2, 1, 1): 1}, box) == "pure-power"
+    assert length_path({(4, 0, 0): 1, (0, 4, 0): 1}, box) == "pure-power"
     # no pure power in h: a shear over F_3 gives it one
     for h in (cyclic(4), cyclic(5), cyclic(6), TypeI(1, 3, 1, 3, 3, 1)):
-        assert length_path(trinomial_poly(h), box, 3) == "pure-power"
+        assert length_path(trinomial_poly(h), box) == "pure-power"
     # caps x^6, y^6, z^6: 6 is not a power of 3, so a shear moves the ideal
-    assert length_path(trinomial_poly(cyclic(4)), variable_powers(3, 2), 3) == "walk"
+    assert length_path(trinomial_poly(cyclic(4)), variable_powers(3, 2)) == "walk"
     # x^2 y + x y^2 + y^2 z + y z^2 vanishes on every point of P^2(F_2)
     no_point = {(2, 1, 0): 1, (1, 2, 0): 1, (0, 2, 1): 1, (0, 1, 2): 1}
     assert quotient_lengths(2, no_point, box, 2)[0] == "walk"
-    assert length_path(SEGRE_QUADRIC, variable_powers(4, 1), 4) == "walk"
+    assert length_path(SEGRE_QUADRIC, variable_powers(4, 1)) == "walk"
     # (xy)^[3] lies in (x^3): the ideal is the box, so the route is too
-    assert length_path(fermat4, box + [{(1, 1, 0): 1}], 3) == "diagonal"
+    assert length_path(fermat4, box + [{(1, 1, 0): 1}]) == "diagonal"
     # (xy)^[3] is not in (x^6, y^6, z^6)
-    assert length_path(fermat4, variable_powers(3, 2) + [{(1, 1, 0): 1}], 3) == "walk"
+    assert length_path(fermat4, variable_powers(3, 2) + [{(1, 1, 0): 1}]) == "walk"
     non_monomial = [{(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}]
-    assert length_path(fermat4, non_monomial, 3) == "walk"
+    assert length_path(fermat4, non_monomial) == "walk"
 
 
 def _vanishes_on_plane(h, p):
@@ -739,7 +765,7 @@ def merged_walk_cases(draw):
           {(2, 0, 0): 1, (0, 1, 1): 2, (0, 0, 2): 1}))
 def test_merged_walk_matches_definition(case):
     p, q, nv, gens, h = case
-    path, length, _ = quotient_lengths(p, h, gens, q, nv)
+    path, length, _ = quotient_lengths(p, h, gens, q)
     assert path == "walk"
     for m in range(12):
         assert length(m) == brute_graded_length(p, h, gens, q, m, nv)
@@ -844,7 +870,7 @@ def test_mirror_matches_every_degree(case):
     ceil(N/2) up, against ``length`` at every degree and the definition;
     and the degrees they ask for start at ceil(N/2), N = sum(c_i - 1) + d."""
     p, q, nv, gens, h = case
-    path, length, _ = quotient_lengths(p, h, gens, q, nv)
+    path, length, _ = quotient_lengths(p, h, gens, q)
     if nv == 3 and _is_diagonal(h):
         assert path == "diagonal"
     every = []

@@ -7,7 +7,7 @@ from itertools import product
 from math import floor, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hkfun.oracle import fthreshold_estimate
 from hkfun.trinomial import (
@@ -195,6 +195,12 @@ def scan_inputs(draw):
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(scan_inputs())
+# v = (1/2, 1, 1): the nearest corner (0, 1, 1) has an even sum, and moving
+# the halfway coordinate to 1 costs nothing, so T = 1/2 at D = 0
+@example((TrinomialInvariants(1, 2, 2, 2), 1, 1))
+# v = (1, 1, 0): every coordinate is an integer and the sum is even, so no
+# corner is odd and no step gives a distance below 1
+@example((TrinomialInvariants(3, 3, 6, 3), 1, 1))
 def test_taxicab_search_matches_fraction_corner_scan(case):
     inv, n, l = case
     res = taxicab_search(inv, n, l)

@@ -2,8 +2,11 @@
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_N.json
 
-PARENT_DIR and CHANGE_DIR are roots of two source checkouts.  For every
-workload in ``BENCHMARK.json``, pair i runs its command (``python3
+PARENT_DIR and CHANGE_DIR are roots of two source checkouts.  Before the
+first pair, ``python3 -m compileall -q src bench`` runs in each, so that
+both start with cached bytecode: ``setup_s`` times fresh interpreters, and
+one that compiles the package first reads slower than one that loads it.
+For every workload in ``BENCHMARK.json``, pair i runs its command (``python3
 bench/run.py``) with ``--seed 21+i`` for i < 10, the file's
 ``run_seconds`` and ``--trace 0`` once in each checkout, one run after the
 other: the parent first in even pairs, the change first in odd ones, so
@@ -86,6 +89,9 @@ def main() -> int:
         spec = json.load(fh)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     commits = {side: _commit(checkout) for side, checkout in sides.items()}
+    for checkout in sides.values():  # with the interpreter the benchmark runs
+        subprocess.run([spec["command"][0], "-m", "compileall", "-q", "src", "bench"],
+                       cwd=checkout, check=True)
     seeds = list(range(FIRST_SEED, FIRST_SEED + PAIRS))
     correct = True
     workloads = {}
