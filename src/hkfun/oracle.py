@@ -700,7 +700,8 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly], generators: Sequence[
     if top > _BRACKET_DEGREE_LIMIT:
         raise ValueError(f"q = {q} is too large: the bracketed generators reach degree "
                          f"{top}, past the oracle's limit of {_BRACKET_DEGREE_LIMIT}")
-    if hypersurface is not None and (d := poly_degree(hypersurface)) > _BRACKET_DEGREE_LIMIT:
+    d = poly_degree(hypersurface) if hypersurface is not None else 0
+    if d > _BRACKET_DEGREE_LIMIT:
         raise ValueError(f"the hypersurface has degree {d}, past the oracle's limit "
                          f"of {_BRACKET_DEGREE_LIMIT}")
     hyp = normalize_poly(hypersurface, p) if hypersurface is not None else None
@@ -710,9 +711,8 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly], generators: Sequence[
     non_monomial = [g for g in gens_q if len(g) > 1]
     # h over exactly the pure powers x_1^c_1, ..., x_n^c_n
     pure_caps = hyp is not None and not mixed and not non_monomial and None not in caps
-    mirror = _gorenstein_mirror(caps, poly_degree(hyp)) if pure_caps else None
+    mirror = _gorenstein_mirror(caps, d) if pure_caps else None
     if pure_caps and num_vars == 3:
-        d = poly_degree(hyp)
         pure = [v for v in range(3) if tuple(d if i == v else 0 for i in range(3)) in hyp]
         if len(pure) == 3 == len(hyp):  # h = c_1 x^d + c_2 y^d + c_3 z^d
             return "diagonal", _diagonal_lengths(p, caps, d), mirror
