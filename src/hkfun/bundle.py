@@ -9,7 +9,8 @@ polarization has the piecewise-linear density
 supported on (-inf, 1 - a_min/d]: linear left tail, convex and decreasing,
 vanishing exactly at the largest breakpoint.  A two-dimensional pair whose
 ideal is generated by mu forms of one degree has density f_V - f_M for the
-syzygy bundle V and the free bundle M of the generators, clipped to [0, inf).
+syzygy bundle V and the free bundle M of the generators, clipped to [0, inf);
+the checks of its ``SyzygySpec`` make that difference nonnegative.
 
 Both are built in one pass from the right over signed slope data: a bundle's
 slopes with their ranks, and for the pair V's slopes with +rank and M's one
@@ -55,10 +56,6 @@ class HNData:
     @property
     def min_slope(self) -> Fraction:
         return self.slopes[-1]
-
-    @property
-    def mean_slope(self) -> Fraction:
-        return self.total_degree / self.total_rank
 
 
 @dataclass(frozen=True)
@@ -139,9 +136,6 @@ class SyzygySpec:
         if self.hn_v.total_degree != expected:
             raise ValueError(f"syzygy bundle degree must be {expected} "
                              f"(got {self.hn_v.total_degree})")
-        # slope bookkeeping: a_min <= mean slope of V < slope of M
-        if not (self.hn_v.min_slope <= self.hn_v.mean_slope < self.free_slope):
-            raise ValueError("slope ordering a_min <= mu(V) < mu(M) violated")
         # V is a subsheaf of M, a sum of copies of one line bundle, so no
         # subsheaf of V is steeper than M
         if self.hn_v.slopes[0] > self.free_slope:
@@ -160,14 +154,12 @@ class SyzygySpec:
 def syzygy_pair_density(spec: SyzygySpec) -> PairDensity:
     """Pair density f_V - f_M restricted to [0, inf), as a dimension-2 pair of
     multiplicity d, built in one pass: no slope of V exceeds M's, so M's
-    slope with rank -mu leads V's slope data.  The difference is verified
-    nonnegative exactly, piece by piece, before the density is returned."""
+    slope with rank -mu leads V's slope data.  The spec's checks make the
+    difference nonnegative, so it is returned as built."""
     data = ((spec.free_slope, -spec.mu), *zip(spec.hn_v.slopes, spec.hn_v.ranks))
     cuts, segments = _slope_pieces(data, spec.pol.degree)
-    # every slope is at most mu(M) = d*(1 - gen_degree) <= 0, so every cut is
-    # at least gen_degree >= 1: clipping at 0 adds the breakpoint 0 alone
+    # every slope is at most mu(M) = d*(1 - g) with g = gen_degree >= 1, so
+    # every cut is at least g and clipping at 0 adds the breakpoint 0 alone;
+    # V's rank and degree give f = d*x on [0, g], and f = f_V >= 0 beyond
     f = PiecewisePolynomial([Fraction(0), *cuts], segments)
-    if not f.is_nonnegative():
-        raise ValueError("syzygy difference went negative; slope data is not "
-                         "realizable for a pair")
     return PairDensity(dim=2, mult=spec.pol.degree, f=f, provenance="syzygy-bundle")

@@ -444,13 +444,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an option the subcommand lacks, or that is left unset, passes
-        for name, least in (("precision", 0), ("samples", 2), ("vars", 1)):
+        # an option the subcommand lacks, or that is left unset, passes; 4000
+        # digits stay below the interpreter's 4300-digit int-to-str limit
+        for name, least, most in (("precision", 0, 4000), ("samples", 2, 100_000),
+                                  ("vars", 1, oracle.MAX_VARS)):
             value = getattr(args, name, None)
-            if value is not None and value < least:
-                raise ValueError(f"--{name} must be >= {least}, got {value}")
-        if getattr(args, "vars", None) is not None and args.vars > oracle.MAX_VARS:
-            raise ValueError(f"--vars must be <= {oracle.MAX_VARS}, got {args.vars}")
+            if value is not None and not least <= value <= most:
+                bound = f">= {least}" if value < least else f"<= {most}"
+                raise ValueError(f"--{name} must be {bound}, got {value}")
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"hkfun: error: {exc}", file=sys.stderr)

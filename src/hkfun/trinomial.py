@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from typing import Optional, Union
 
@@ -198,21 +199,10 @@ class TaxicabResult:
     D: Optional[int]
 
 
-def multiplicative_order(l: int, modulus: int) -> int:
-    l %= modulus
-    if gcd(l, modulus) != 1:
-        raise ValueError("element is not a unit")
-    order, x = 1, l
-    while x != 1:
-        x = (x * l) % modulus
-        order += 1
-    return order
-
-
 def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
-    """Scan s = 0, 1, ..., ord(l) - 1 for the first step where some odd-sum
-    corner comes within taxicab distance 1 of
-    v = l^s * n * (alpha, beta, nu)/lambda mod 2.
+    """Scan s = 0, 1, ... for the first step where some odd-sum corner comes
+    within taxicab distance 1 of v = l^s * n * (alpha, beta, nu)/lambda mod 2,
+    until l^s returns to 1 modulo 2*lambda_h, where v starts to repeat.
 
     The scan runs in integers over lambda = ``inv.lam``: v_i = N_i / lambda
     with N_i = (l^s * alpha_i * n) mod 2*lambda for alpha_i in (alpha, beta,
@@ -233,7 +223,7 @@ def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
     lam = inv.lam
     weights = (inv.alpha * n, inv.beta * n, inv.nu * n)
     ls = 1
-    for s in range(multiplicative_order(l, modulus)):
+    for s in count():
         # flip stays lam when every coordinate is an integer: no odd corner
         parity, dist, flip = 0, 0, lam
         for w in weights:
@@ -247,7 +237,8 @@ def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
         if dist < lam:
             return TaxicabResult(T=Fraction(dist, lam), D=s)
         ls = (ls * l) % modulus
-    return TaxicabResult(T=Fraction(1), D=None)
+        if ls == 1:
+            return TaxicabResult(T=Fraction(1), D=None)
 
 
 def is_prime(p: int) -> bool:
@@ -330,14 +321,20 @@ class ResidueRow:
         return f"{self.base} + {self.weight}/(2*{self.poldeg}*p^{self.D})"
 
 
+MAX_TABLE_LAMBDA_H = 2 ** 16
+
+
 def residue_table(curve: TrinomialCurve, n: int) -> list[ResidueRow]:
     """One row per residue class of (Z/2*lambda_h)*/{+-1}, ordered by
     representative.  Rejects irregular curves (their threshold does not
-    depend on p)."""
+    depend on p) and lambda_h above ``MAX_TABLE_LAMBDA_H``."""
     kind = classify(curve)
     if isinstance(kind, Irregular):
         raise ValueError("irregular curves have a single p-independent threshold")
     inv = kind.invariants
+    if inv.lambda_h > MAX_TABLE_LAMBDA_H:
+        raise ValueError(f"lambda_h = {inv.lambda_h} is past the residue table's "
+                         f"limit of {MAX_TABLE_LAMBDA_H}")
     return [_residue_row(inv, n, curve.degree, l) for l in range(1, inv.lambda_h + 1)
             if gcd(l, 2 * inv.lambda_h) == 1]
 

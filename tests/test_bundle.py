@@ -143,7 +143,10 @@ def test_dichotomy_on_random_syzygy_data(rng):
                     hn_v=HNData((Fraction(-4),), (2,))))
 def test_one_pass_syzygy_density_matches_difference(spec):
     """The one-pass builder against the two bundle densities subtracted and
-    truncated at 0."""
+    truncated at 0.  The difference is nonnegative and equals d*x right of
+    0, as the spec's checks promise: the builder does not check it."""
     f = (bundle_density(spec.hn_v, spec.pol)
          - bundle_density(spec.hn_m, spec.pol)).truncate_before(0)
     assert syzygy_pair_density(spec).f == f
+    assert f.is_nonnegative()
+    assert f.segment_at(0) == Polynomial([0, spec.pol.degree])

@@ -42,6 +42,16 @@ def test_trinomial_threshold(capsys):
     assert json.loads(out)["threshold"] == "44/29"
 
 
+def test_trinomial_threshold_past_the_table_limit(capsys):
+    """lambda_h = 10^20 is past the residue table's limit, but the scan at one
+    prime stops at its first corner (D = 27), long before the order 10^18 of 7
+    modulo 2*lambda_h."""
+    code, out, _ = run_cli(capsys, "trinomial", "--fermat", "100000000000000000000",
+                           "--prime", "7")
+    assert code == 0
+    assert json.loads(out)["threshold"] == "98600000000000000000000/65712362363534280139543"
+
+
 def test_trinomial_residue_table_csv(capsys):
     code, out, _ = run_cli(capsys, "trinomial", "--fermat", "4", "--format", "csv")
     assert code == 0
@@ -196,6 +206,12 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
      "--samples must be >= 2, got 1"),
     (("trinomial", "--fermat", "4", "--prime", "29", "--precision", "-1"),
      "--precision must be >= 0, got -1"),
+    (("trinomial", "--fermat", "4", "--prime", "29", "--precision", "5000"),
+     "--precision must be <= 4000, got 5000"),
+    (("volume", "--degrees", "1,2", "--format", "samples", "--samples", "100001"),
+     "--samples must be <= 100000, got 100001"),
+    (("trinomial", "--fermat", "100000000000000000000"),
+     "lambda_h = 100000000000000000000 is past the residue table's limit of 65536"),
     (("oracle", "--prime", "3", "--q", "9", "--hypersurface", "x*y - z^2", "--vars", "3",
       "--op", "profile", "--x", "1/2"),
      "--x is read only by --op fn, not --op profile"),
@@ -262,7 +278,8 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
      f"unknown verify case 'nope'; known: {', '.join(sorted(verify.CASES))}"),
 ], ids=["table-prime-4", "prime-divides-2lambda", "table-prime-divides-2lambda",
         "table-prime-divides-2lambda-cyclic", "samples-0", "samples-negative", "samples-1",
-        "precision-trinomial", "x-without-fn", "vars-with-curve", "vars-0", "vars-negative",
+        "precision-trinomial", "precision-5000", "samples-100001", "table-lambda-h-past-limit",
+        "x-without-fn", "vars-with-curve", "vars-0", "vars-negative",
         "vars-5", "fn-without-finite-colength", "q-2^64", "q-2^40",
         "mult-with-in", "mult-with-left", "n-with-gens", "precision-with-table",
         "precision-density-json", "precision-density-csv", "precision-oracle-profile",

@@ -8,6 +8,7 @@ from math import floor, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sympy.ntheory import n_order
 
 from hkfun.oracle import fthreshold_estimate
 from hkfun.trinomial import (
@@ -23,7 +24,6 @@ from hkfun.trinomial import (
     cyclic,
     f_threshold,
     fermat,
-    multiplicative_order,
     residue_table,
     taxicab_distance,
     taxicab_search,
@@ -167,14 +167,14 @@ def test_taxicab_step_below_order():
                 continue
             res = taxicab_search(inv, 1, l)
             if res.D is not None:
-                assert res.D < multiplicative_order(l, 2 * inv.lambda_h)
+                assert res.D < n_order(l, 2 * inv.lambda_h)
 
 
 def _fraction_corner_scan(inv, n, l):
     """The residue search written out over Fractions with the public
     taxicab_distance: every odd-sum corner of floor/floor+1 around
     l^s * t_h * n mod 2, at every step s below the order of l."""
-    for s in range(multiplicative_order(l, 2 * inv.lambda_h)):
+    for s in range(n_order(l, 2 * inv.lambda_h)):
         v = tuple(Fraction(l ** s * x * n, inv.lam) % 2 for x in (inv.alpha, inv.beta, inv.nu))
         corners = product(*[(floor(x), floor(x) + 1) for x in v])
         below = [dist for dist in (taxicab_distance(v, u) for u in corners if sum(u) % 2)
@@ -201,6 +201,9 @@ def scan_inputs(draw):
 # v = (1, 1, 0): every coordinate is an integer and the sum is even, so no
 # corner is odd and no step gives a distance below 1
 @example((TrinomialInvariants(3, 3, 6, 3), 1, 1))
+# lambda_h = 10^20: the order of 7 modulo 2*lambda_h is 10^18, but a corner
+# comes within distance 1 at step 27
+@example((classify(fermat(10 ** 20)).invariants, 1, 7))
 def test_taxicab_search_matches_fraction_corner_scan(case):
     inv, n, l = case
     res = taxicab_search(inv, n, l)
@@ -295,6 +298,16 @@ def test_residue_table_periodicity():
 def test_residue_table_rejects_irregular():
     with pytest.raises(ValueError):
         residue_table(irregular_quintic_witness(), 1)
+
+
+def test_residue_table_refuses_lambda_h_past_the_limit():
+    """A table has a row per class of (Z/2*lambda_h)*/{+-1}; lambda_h = 2^16
+    is the largest it builds."""
+    assert len(residue_table(fermat(2 ** 16), 1)) == 2 ** 15
+    for d in (2 ** 16 + 1, 10 ** 20):
+        with pytest.raises(ValueError, match=f"^lambda_h = {d} is past the residue "
+                                             "table's limit of 65536$"):
+            residue_table(fermat(d), 1)
 
 
 def test_invariants_must_be_positive():
