@@ -37,14 +37,14 @@ from .volume import BoxSliceSpec, parameter_density, slice_volume
 
 
 def decimal_string(value: Fraction, precision: int) -> str:
-    """Correctly rounded (half-even) decimal rendering of an exact rational."""
-    scaled = value * 10 ** precision
-    n = round(scaled)
+    """Correctly rounded (half-even) decimal rendering of an exact rational;
+    the integer part and the fraction are converted to text apart."""
+    n = round(value * 10 ** precision)
+    whole, fraction = divmod(abs(n), 10 ** precision)
     sign = "-" if n < 0 else ""
-    digits = str(abs(n)).rjust(precision + 1, "0")
     if precision == 0:
-        return sign + digits
-    return f"{sign}{digits[:-precision]}.{digits[-precision:]}"
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{fraction:0{precision}d}"
 
 
 def _int_list(text: str) -> list[int]:
@@ -140,6 +140,8 @@ def _pair_payload(pair: PairDensity) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_volume(args) -> int:
+    if args.eval is not None and args.format != "json":
+        raise ValueError("--eval is read only with --format json")
     spec = BoxSliceSpec(tuple(_int_list(args.degrees)))
     f = slice_volume(spec)
     payload = {"edge_lengths": list(spec.edge_lengths),
@@ -444,8 +446,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an option the subcommand lacks, or that is left unset, passes; 4000
-        # digits stay below the interpreter's 4300-digit int-to-str limit
+        # an option the subcommand lacks, or that is left unset, passes; a
+        # fraction of 4000 digits stays below the 4300-digit int-to-str limit
         for name, least, most in (("precision", 0, 4000), ("samples", 2, 100_000),
                                   ("vars", 1, oracle.MAX_VARS)):
             value = getattr(args, name, None)

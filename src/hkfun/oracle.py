@@ -12,9 +12,9 @@ the generators, never an option), brackets the generators and sorts them
 into caps (the least pure power of each variable) and surviving mixed
 monomials; a mixed monomial that a pure power divides adds nothing to the
 ideal and is dropped.  That one analysis picks one of three rank paths and
-the Gorenstein mirror below; it returns the path, ``length(m)`` and the
-mirror.  ``length`` does only the work of
-degree m, so a sweep or a bisection pays for the setup once.
+the Gorenstein mirror below; one ``Quotient`` record holds them with the
+variable count and the sweep bound, and no entry derives those again.
+``length(m)`` does only the work of degree m: a sweep or bisection sets up once.
 
 - ``"diagonal"``: three variables, every generator a pure power (caps c_x,
   c_y, c_z) and h = c_1 x^d + c_2 y^d + c_3 z^d, the Fermat family.  Over
@@ -103,7 +103,7 @@ every-degree sweep too, since the ring it cuts out need not be Gorenstein.
 
 ``monomial_alpha`` is the support invariant of a monomial ideal J of the
 polynomial ring S in n variables: the top nonzero degree of S/J, which
-``top_nonzero_degree`` finds on the walk, plus n.  Polynomials are
+``Quotient.top`` finds on the walk, plus n.  Polynomials are
 multiplied mod p in one place, ``_poly_mul``; the literal powers of
 ``scaling_check`` and the shear of the pure-power path are built from it.
 """
@@ -117,7 +117,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -132,6 +132,7 @@ _RESIDUAL_CELL_LIMIT = 6_000_000
 # finishes a degree of that size anyway
 _BRACKET_DEGREE_LIMIT = 1 << 16
 _NO_ZERO_TAIL = "no zero tail at the sweep bound; the ideal does not have finite colength"
+_WRONG_COUNT = "num_vars = {}, but the polynomials are written in {} variables"
 
 
 class OracleError(ValueError):
@@ -652,27 +653,93 @@ def _num_vars(hyp: Optional[Poly], gens: Sequence[Poly]) -> int:
     return counts[0]
 
 
-def _check_num_vars(num_vars: int, hyp: Optional[Poly], gens: Sequence[Poly]) -> None:
-    """A count given beside the polynomials must be theirs."""
-    if num_vars != (found := _num_vars(hyp, gens)):
-        raise ValueError(f"num_vars = {num_vars}, but the polynomials are written "
-                         f"in {found} variables")
-
-
 def _is_power_of(q: int, p: int) -> bool:
     while q > 1 and q % p == 0:
         q //= p
     return q == 1
 
 
+class Quotient(NamedTuple):
+    """S/(h, g_1^q, ..., g_t^q) as ``quotient_lengths`` sets it up: the rank
+    path, ``length(m)``, the mirror (N, e) or None, the variable count n and
+    the sweep bound q*sum(deg g_i) + (deg h, or n without h) + 1, a degree
+    above the top of the quotient whenever its ideal has finite colength."""
+
+    path: str
+    length: Callable[[int], int]
+    mirror: Optional[Mirror]
+    num_vars: int
+    bound: int
+
+    def finite(self) -> Quotient:
+        """This quotient, whose ideal has finite colength: by the caps of the
+        mirror, or else by a zero length at the sweep bound (OracleError if not)."""
+        if self.mirror is None and self.length(self.bound) != 0:
+            raise OracleError(_NO_ZERO_TAIL)
+        return self
+
+    def sweep(self) -> dict[int, int]:
+        """The lengths at the degrees 0, 1, ..., top, all nonzero.  A zero
+        piece forces every higher piece to zero in a standard graded
+        quotient, so the sweep stops at the first zero, and OracleError is
+        raised when the sweep bound passes without one.  With the Gorenstein
+        mirror (module docstring) it starts at ceil(N/2) and fills in the
+        degrees below from the ones it ranked."""
+        start = 0 if self.mirror is None else (self.mirror[0] + 1) // 2
+        upper: dict[int, int] = {}
+        for m in range(start, self.bound + 1):
+            value = self.length(m)
+            if value == 0:
+                break
+            upper[m] = value
+        else:
+            raise OracleError(_NO_ZERO_TAIL)
+        lengths: dict[int, int] = {}
+        if self.mirror is not None:
+            n_top, excess = self.mirror
+            for m in range(start):
+                value = excess(m) + upper.get(n_top - m, 0)
+                if value == 0:
+                    return lengths
+                lengths[m] = value
+        lengths.update(upper)
+        return lengths
+
+    def top(self) -> int:
+        """The largest degree with a nonzero piece, by bisection: zero pieces
+        are upward-closed in a standard graded quotient.  With the Gorenstein
+        mirror (module docstring) the search starts at ceil(N/2): if that
+        degree is zero, the top is the last lower degree with a positive
+        t_k - t_(k-d); otherwise it gallops upward (steps 1, 2, 4, ... up to
+        the sweep bound) and bisects."""
+        lo, hi = 0, self.finite().bound  # degree 0 holds the constants, never 0
+        if self.mirror is not None:
+            n_top, excess = self.mirror
+            lo = (n_top + 1) // 2
+            if self.length(lo) == 0:
+                # below ceil(N/2), l_k = t_k - t_(k-d) + l_(N-k) and l_(N-k) = 0
+                return max(k for k in range(lo) if excess(k) > 0)
+            step = 1
+            while (probe := min(lo + step, hi)) < hi and self.length(probe) != 0:
+                lo, step = probe, 2 * step
+            hi = probe
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.length(mid) == 0:
+                hi = mid
+            else:
+                lo = mid
+        return lo
+
+
 def quotient_lengths(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
-                     q: int) -> tuple[str, Callable[[int], int], Optional[Mirror]]:
-    """Set up S/(h, g_1^q, ..., g_t^q) once and return (path, length,
-    mirror): its rank path ("diagonal", "pure-power" or "walk"),
-    ``length(m)``, the length of its degree-m piece, and the Gorenstein
-    mirror (N, e) of ``_gorenstein_mirror``, or None where it does not
-    apply.  One ``_caps_and_mixed`` of the bracketed generators decides
-    both (module docstring): h over exactly the pure powers
+                     q: int) -> Quotient:
+    """Set up S/(h, g_1^q, ..., g_t^q) once and return its ``Quotient``:
+    the rank path ("diagonal", "pure-power" or "walk"), ``length(m)``, the
+    length of the degree-m piece, the Gorenstein mirror (N, e) of
+    ``_gorenstein_mirror`` or None, the number of variables and the sweep
+    bound.  One ``_caps_and_mixed`` of the bracketed generators decides path
+    and mirror (module docstring): h over exactly the pure powers
     x_1^c_1, ..., x_n^c_n gets the mirror, and in three variables the
     diagonal or the pure-power path where one applies; the rest walks.
 
@@ -696,7 +763,8 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly], generators: Sequence[
             raise ValueError("polynomials must have positive degree")
         if any(c % p == 0 for c in poly.values()):
             raise ValueError(f"a coefficient of {dict(poly)} is 0 mod {p}")
-    top = q * max(map(poly_degree, generators), default=0)
+    gen_degrees = [poly_degree(g) for g in generators]
+    top = q * max(gen_degrees, default=0)
     if top > _BRACKET_DEGREE_LIMIT:
         raise ValueError(f"q = {q} is too large: the bracketed generators reach degree "
                          f"{top}, past the oracle's limit of {_BRACKET_DEGREE_LIMIT}")
@@ -712,23 +780,24 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly], generators: Sequence[
     # h over exactly the pure powers x_1^c_1, ..., x_n^c_n
     pure_caps = hyp is not None and not mixed and not non_monomial and None not in caps
     mirror = _gorenstein_mirror(caps, d) if pure_caps else None
+    facts = (mirror, num_vars, q * sum(gen_degrees) + (d if hyp is not None else num_vars) + 1)
     if pure_caps and num_vars == 3:
         pure = [v for v in range(3) if tuple(d if i == v else 0 for i in range(3)) in hyp]
         if len(pure) == 3 == len(hyp):  # h = c_1 x^d + c_2 y^d + c_3 z^d
-            return "diagonal", _diagonal_lengths(p, caps, d), mirror
+            return Quotient("diagonal", _diagonal_lengths(p, caps, d), *facts)
         # h containing a pure power x_v^d; v is the variable with the
         # largest cap when there are several
         if pure:
             v = max(pure, key=lambda v: caps[v])
-            return "pure-power", _pure_power_lengths(p, hyp, caps, v), mirror
+            return Quotient("pure-power", _pure_power_lengths(p, hyp, caps, v), *facts)
         # caps (x^Q, y^Q, z^Q) with Q a power of p: a shear over F_p
         # changes no length and gives h a pure power (module docstring)
         if len(set(caps)) == 1 and _is_power_of(caps[0], p) \
                 and (found := _point_off_curve(hyp, p)) is not None:
             i, point = found
             sheared = _shear(hyp, p, i, point)
-            return "pure-power", _pure_power_lengths(p, sheared, caps, i), mirror
-    return "walk", _walk_lengths(p, hyp, caps, mixed, non_monomial), mirror
+            return Quotient("pure-power", _pure_power_lengths(p, sheared, caps, i), *facts)
+    return Quotient("walk", _walk_lengths(p, hyp, caps, mixed, non_monomial), *facts)
 
 
 def graded_piece_length_raw(p: int, hypersurface: Optional[Poly],
@@ -737,9 +806,10 @@ def graded_piece_length_raw(p: int, hypersurface: Optional[Poly],
     """Length of the degree-m piece of S/(h, g_1^q, ..., g_t^q); sweeps and
     bisections should call ``quotient_lengths`` once instead.  A num_vars
     given must be the number of variables the polynomials are written in."""
-    if num_vars is not None:
-        _check_num_vars(num_vars, hypersurface, generators)
-    return quotient_lengths(p, hypersurface, generators, q)[1](m)
+    quotient = quotient_lengths(p, hypersurface, generators, q)
+    if num_vars not in (None, quotient.num_vars):
+        raise ValueError(_WRONG_COUNT.format(num_vars, quotient.num_vars))
+    return quotient.length(m)
 
 
 # ---------------------------------------------------------------------------
@@ -762,115 +832,37 @@ class ColengthProfile:
         return sum(self.lengths.values())
 
 
-def _sweep_bound(hypersurface: Optional[Poly], generators: Sequence[Poly],
-                 q: int) -> int:
-    num_vars = _num_vars(hypersurface, generators)
-    gen_total = sum(poly_degree(g) for g in generators)
-    base = poly_degree(hypersurface) if hypersurface is not None else num_vars
-    return q * gen_total + base + 1
-
-
 def colength_profile(p: int, hypersurface: Optional[Poly],
                      generators: Sequence[Poly], q: int) -> ColengthProfile:
-    """Sweep degrees upward until the first zero length.
-
-    In a standard graded quotient a zero piece forces all higher pieces to be
-    zero, so the sweep may stop at the first zero; if the safety bound is
-    passed without one the ideal did not have finite colength.  Where the
-    Gorenstein mirror applies (module docstring) the sweep starts at
-    ceil(N/2), and the degrees below follow from the ones it ranked.
-    """
-    bound = _sweep_bound(hypersurface, generators, q)
-    _, length, mirror = quotient_lengths(p, hypersurface, generators, q)
-    start = 0 if mirror is None else (mirror[0] + 1) // 2
-    upper: dict[int, int] = {}
-    for m in range(start, bound + 1):
-        value = length(m)
-        if value == 0:
-            break
-        upper[m] = value
-    else:
-        raise OracleError(_NO_ZERO_TAIL)
-    lengths: dict[int, int] = {}
-    if mirror is not None:
-        n_top, excess = mirror
-        for m in range(start):
-            value = excess(m) + upper.get(n_top - m, 0)
-            if value == 0:
-                return ColengthProfile(p=p, q=q, lengths=lengths)
-            lengths[m] = value
-    lengths.update(upper)
-    return ColengthProfile(p=p, q=q, lengths=lengths)
-
-
-def _finite_quotient(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
-                     q: int) -> tuple[int, Callable[[int], int], Optional[Mirror]]:
-    """(bound, length, mirror): the sweep bound and ``quotient_lengths``'s
-    length and mirror, for an ideal of finite colength.  The caps of the
-    mirror give that; without it the length at the sweep bound must be zero,
-    and OracleError is raised when it is not."""
-    bound = _sweep_bound(hypersurface, generators, q)
-    _, length, mirror = quotient_lengths(p, hypersurface, generators, q)
-    if mirror is None and length(bound) != 0:
-        raise OracleError(_NO_ZERO_TAIL)
-    return bound, length, mirror
+    """The lengths up to the top, swept by ``Quotient.sweep``."""
+    return ColengthProfile(p, q, quotient_lengths(p, hypersurface, generators, q).sweep())
 
 
 def top_nonzero_degree(p: int, hypersurface: Optional[Poly],
                        generators: Sequence[Poly], q: int) -> int:
-    """Largest degree with a nonzero piece, located by bisection.
-
-    Zero pieces are upward-closed in a standard graded quotient, which makes
-    bisection valid and avoids computing the full profile at large q.  Where
-    the Gorenstein mirror applies (module docstring) the ideal has finite
-    colength, and the search starts at ceil(N/2): if that degree is zero, the
-    top is the last lower degree with a positive t_k - t_(k-d); otherwise it
-    gallops upward (steps 1, 2, 4, ... up to the sweep bound) and bisects.
-    """
-    hi, length, mirror = _finite_quotient(p, hypersurface, generators, q)
-    if mirror is not None:
-        n_top, excess = mirror
-        lo = (n_top + 1) // 2
-        if length(lo) == 0:
-            # below ceil(N/2), l_k = t_k - t_(k-d) + l_(N-k) and l_(N-k) = 0
-            return max(k for k in range(lo) if excess(k) > 0)
-        step = 1
-        while (probe := min(lo + step, hi)) < hi and length(probe) != 0:
-            lo, step = probe, 2 * step
-        hi = probe
-    else:
-        lo = 0  # degree zero is never zero: the quotient contains the constants
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if length(mid) == 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo
-
-
-def _pair_dimension(hypersurface: Optional[Poly], generators: Sequence[Poly]) -> int:
-    return _num_vars(hypersurface, generators) - (1 if hypersurface is not None else 0)
+    """Largest degree with a nonzero piece, bisected by ``Quotient.top``."""
+    return quotient_lengths(p, hypersurface, generators, q).top()
 
 
 def fn_sample(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
               q: int, x: Fraction) -> Fraction:
     """Normalized graded length at degree floor(x*q) for a two-dimensional
     pair: the finite-q sample of the density function.  Raises OracleError
-    when the ideal does not have finite colength."""
-    if _pair_dimension(hypersurface, generators) != 2:
+    when the ideal does not have finite colength; past that check every
+    degree outside [0, sweep bound) has length 0 and is not ranked."""
+    quotient = quotient_lengths(p, hypersurface, generators, q)
+    if quotient.num_vars - (hypersurface is not None) != 2:
         raise ValueError("density samples are defined for two-dimensional pairs")
-    _, length, _ = _finite_quotient(p, hypersurface, generators, q)
-    m = math.floor(Fraction(x) * q)  # negative for x < 0, where every length is 0
-    return Fraction(length(m), q)
+    m = math.floor(Fraction(x) * q)
+    return Fraction(quotient.length(m) if 0 <= m < quotient.finite().bound else 0, q)
 
 
 def ehk_estimate(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
                  q: int) -> Fraction:
     """sum_m length / q^dim: the finite-q multiplicity estimate."""
-    dim = _pair_dimension(hypersurface, generators)
-    profile = colength_profile(p, hypersurface, generators, q)
-    return Fraction(profile.total(), q ** dim)
+    quotient = quotient_lengths(p, hypersurface, generators, q)
+    dim = quotient.num_vars - (hypersurface is not None)
+    return Fraction(sum(quotient.sweep().values()), q ** dim)
 
 
 def fthreshold_estimate(p: int, hypersurface: Optional[Poly], n: int, q: int) -> Fraction:
@@ -885,24 +877,25 @@ def fthreshold_estimate(p: int, hypersurface: Optional[Poly], n: int, q: int) ->
 def monomial_alpha(num_vars: int, generators: Sequence[Poly]) -> int:
     """The top nonzero degree of S/J plus num_vars, for a finite-colength
     monomial ideal J written in num_vars >= 2 variables.  Monomial lengths
-    do not depend on p, so they are taken at p = 2; the sweep raises
+    do not depend on p, so they are taken at p = 2; the top search raises
     OracleError when J does not have finite colength."""
     if num_vars < 2:
         raise ValueError("the support formula needs dimension >= 2")
     if any(len(g) != 1 for g in generators):
         raise ValueError("generators must be monomials")
-    _check_num_vars(num_vars, None, generators)
-    return top_nonzero_degree(2, None, [dict.fromkeys(g, 1) for g in generators], 1) + num_vars
+    quotient = quotient_lengths(2, None, [dict.fromkeys(g, 1) for g in generators], 1)
+    if num_vars != quotient.num_vars:
+        raise ValueError(_WRONG_COUNT.format(num_vars, quotient.num_vars))
+    return quotient.top() + num_vars
 
 
 def scaling_check(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
                   q0: int, q: int) -> bool:
-    """Exact check of the Frobenius brackets: on a grid of ten degrees,
-    the colengths of the ideal of the literal powers (g^q0)^q, multiplied out
-    mod p, agree with those of I^[q0*q], which ``frobenius_power`` brackets
-    by freshman's dream."""
+    """Exact check of the Frobenius brackets: on a grid of ten degrees below
+    the sweep bound, the colengths of the ideal of the literal powers
+    (g^q0)^q, multiplied out mod p, agree with those of I^[q0*q], which
+    ``frobenius_power`` brackets by freshman's dream."""
     powers = [_literal_power(_literal_power(g, q0, p), q, p) for g in generators]
-    top = _sweep_bound(hypersurface, generators, q0 * q)
-    lhs = quotient_lengths(p, hypersurface, powers, 1)[1]
-    rhs = quotient_lengths(p, hypersurface, generators, q0 * q)[1]
-    return all(lhs(m) == rhs(m) for m in ((top * i) // 10 for i in range(10)))
+    lhs = quotient_lengths(p, hypersurface, powers, 1).length
+    rhs = quotient_lengths(p, hypersurface, generators, q0 * q)
+    return all(lhs(m) == rhs.length(m) for m in ((rhs.bound * i) // 10 for i in range(10)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 from .density import PairDensity
@@ -36,20 +35,20 @@ def slice_volume(spec: BoxSliceSpec) -> PiecewisePolynomial:
     """Degree-(m-1) piecewise polynomial supported exactly on [0, sum(n_i)].
 
     Computed by inclusion-exclusion over subset sums:
-    ``V(x) = (1/(m-1)!) * sum_S (-1)^|S| * (x - n_S)_+^(m-1)``.
-    Breakpoints land on the distinct subset sums; canonicalization merges any
-    that turn out redundant.  The m = 1 case is the indicator of [0, n) and is
+    ``V(x) = (1/(m-1)!) * sum_S (-1)^|S| * (x - n_S)_+^(m-1)``, its signed
+    subset counts read off prod (1 - z^n_i), one edge at a time.  Breakpoints
+    land on the distinct subset sums; canonicalization merges any that turn
+    out redundant.  The m = 1 case is the indicator of [0, n) and is
     the one discontinuous output of this module.
     """
     ns = spec.edge_lengths
     m = len(ns)
     if m == 1:
         return PiecewisePolynomial.on_interval(0, ns[0], Polynomial([1]))
-    signed: dict[Fraction, int] = {}
-    for size in range(m + 1):
-        for subset in combinations(ns, size):
-            s = Fraction(sum(subset))
-            signed[s] = signed.get(s, 0) + (-1) ** size
+    signed = {Fraction(0): 1}  # every subset sum, zero coefficients kept
+    for n in ns:
+        for s, c in list(signed.items()):
+            signed[s + n] = signed.get(s + n, 0) - c
     cuts = sorted(signed)
     fact = factorial(m - 1)
     acc = Polynomial.zero()

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import ast
 import builtins
+import csv
 import importlib
+import io
 import json
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -276,6 +278,14 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
      "'1/0' has a zero denominator"),
     (("verify", "--case", "nope"),
      f"unknown verify case 'nope'; known: {', '.join(sorted(verify.CASES))}"),
+    # the colength test comes before the sample leaves [0, sweep bound)
+    (("oracle", "--prime", "3", "--q", "3", "--gens", "x*y", "--vars", "2", "--op", "fn",
+      "--x", "1000"),
+     "no zero tail at the sweep bound; the ideal does not have finite colength"),
+    (("volume", "--degrees", "1,2", "--format", "csv", "--eval", "1"),
+     "--eval is read only with --format json"),
+    (("volume", "--degrees", "1,2", "--format", "samples", "--eval", "1"),
+     "--eval is read only with --format json"),
 ], ids=["table-prime-4", "prime-divides-2lambda", "table-prime-divides-2lambda",
         "table-prime-divides-2lambda-cyclic", "samples-0", "samples-negative", "samples-1",
         "precision-trinomial", "precision-5000", "samples-100001", "table-lambda-h-past-limit",
@@ -289,7 +299,8 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
         "fthreshold-without-hypersurface", "fn-without-x", "hypersurface-degree-past-limit",
         "syzygy-steeper-than-free",
         "eval-zero-denominator", "slope-zero-denominator", "x-zero-denominator",
-        "unknown-verify-case"])
+        "unknown-verify-case", "fn-past-the-bound-without-finite-colength",
+        "eval-with-csv", "eval-with-samples"])
 def test_invalid_option_is_one_line_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -526,6 +537,32 @@ def test_oracle_fn_negative_x(capsys):
                            "--op", "fn", "--x=-1/4")
     assert code == 0
     assert json.loads(out)["fn_sample"] == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--prime", "3", "--q", "3", "--gens", "x,y", "--vars", "2", "--x", "1000000000000"),
+    ("--prime", "5", "--q", "5", "--cyclic", "4", "--x", "100000000000000000000000"),
+], ids=["gens-x-y", "cyclic-4"])
+def test_oracle_fn_past_the_sweep_bound_is_zero(capsys, argv):
+    """A sample past the sweep bound is 0 without a rank: the first
+    enumerated every monomial of degree 3*10^12, the second overflowed a
+    C long."""
+    code, out, err = run_cli(capsys, "oracle", "--op", "fn", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["fn_sample"] == "0"
+
+
+def test_samples_of_a_value_past_4300_digits(capsys):
+    """The value M*x of the tent at x = 1, M = 10^400, with 4000 places: 4401
+    digits, rendered as integer part and fraction apart."""
+    mult = 10**400
+    code, out, err = run_cli(capsys, "density", "--mult", str(mult), "--degrees", "1,1",
+                             "--format", "samples", "--samples", "3", "--precision", "4000")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["f"] for row in rows] == ["0", str(mult), "0"]
+    assert rows[1]["f_dec"] == f"{mult}." + "0" * 4000
+    assert rows[0]["f_dec"] == "0." + "0" * 4000
 
 
 def test_oracle_curve_flag(capsys):

@@ -119,7 +119,7 @@ def test_prime_bound_of_the_int64_kernel():
     p = 2**31 - 1
     h = {(3, 0, 0): 1, (0, 3, 0): 1, (0, 2, 1): 1, (0, 1, 2): 1, (0, 0, 3): 1}
     gens = [{(5, 0, 0): 1}, {(0, 4, 0): 1}, {(0, 0, 4): 1}]
-    path, length, _ = quotient_lengths(p, h, gens, 1)
+    path, length, *_ = quotient_lengths(p, h, gens, 1)
     assert path == "pure-power"
     lengths = [length(m) for m in range(12)]
     assert lengths == [brute_graded_length(p, h, gens, 1, m, 3) for m in range(12)]
@@ -141,7 +141,7 @@ def test_pure_power_reductions_with_many_terms_at_the_prime_bound():
         h = oracle._poly_mul(h, factor, p)
     assert len(h) == 14 and h[(4, 0, 0)] == 1
     gens = [{(5, 0, 0): 1}, {(0, 5, 0): 1}, {(0, 0, 5): 1}]
-    path, length, _ = quotient_lengths(p, h, gens, 1)
+    path, length, *_ = quotient_lengths(p, h, gens, 1)
     assert path == "pure-power"
     degrees = range(3 * 4 + 4 + 2)  # past the top degree N = 16
     assert [length(m) for m in degrees] == \
@@ -274,7 +274,7 @@ def test_one_analysis_per_quotient(monkeypatch):
 
     monkeypatch.setattr(oracle, "_caps_and_mixed", counted)
     for path, mirrored, h, gens in cases:
-        route, _, mirror = quotient_lengths(5, h, gens, 5)
+        route, _, mirror, *_ = quotient_lengths(5, h, gens, 5)
         assert (route, mirror is not None) == (path, mirrored)
         for sweep in (colength_profile, top_nonzero_degree):
             calls.clear()
@@ -534,7 +534,7 @@ def _is_diagonal(h):
 def test_pure_power_path_matches_walk_and_definition(case):
     p, q, ns, h = case
     gens = [{tuple(n if k == i else 0 for k in range(3)): 1} for i, n in enumerate(ns)]
-    path, length, _ = quotient_lengths(p, h, gens, q)
+    path, length, *_ = quotient_lengths(p, h, gens, q)
     assert path == ("diagonal" if _is_diagonal(h) else "pure-power")
     walk = _walk(p, normalize_poly(h, p), gens, q)
     for m in range(sum(ns) * q + poly_degree(h) + 2):
@@ -572,7 +572,7 @@ def test_diagonal_path_matches_pure_power_and_definition(case):
     its independent slow cross-check, and the definition."""
     p, q, ns, h = case
     gens = [{tuple(n if k == i else 0 for k in range(3)): 1} for i, n in enumerate(ns)]
-    path, length, _ = quotient_lengths(p, h, gens, q)
+    path, length, *_ = quotient_lengths(p, h, gens, q)
     assert path == "diagonal"
     caps = [n * q for n in ns]
     slow = oracle._pure_power_lengths(p, normalize_poly(h, p), caps, 0)
@@ -649,7 +649,7 @@ def test_shear_route_matches_walk_and_definition(case):
     gens = variable_powers(3, n)
     cap = n * q
     power_of_p = any(cap == p ** k for k in range(5))
-    path, length, _ = quotient_lengths(p, h, gens, q)
+    path, length, *_ = quotient_lengths(p, h, gens, q)
     assert path == ("pure-power" if power_of_p and not _vanishes_on_plane(h, p) else "walk")
     walk = _walk(p, normalize_poly(h, p), gens, q)
     for m in range(3 * cap + poly_degree(h) + 2):
@@ -765,7 +765,7 @@ def merged_walk_cases(draw):
           {(2, 0, 0): 1, (0, 1, 1): 2, (0, 0, 2): 1}))
 def test_merged_walk_matches_definition(case):
     p, q, nv, gens, h = case
-    path, length, _ = quotient_lengths(p, h, gens, q)
+    path, length, *_ = quotient_lengths(p, h, gens, q)
     assert path == "walk"
     for m in range(12):
         assert length(m) == brute_graded_length(p, h, gens, q, m, nv)
@@ -797,12 +797,12 @@ def asked_degrees():
     real = oracle.quotient_lengths
 
     def recorded(*args, **kwargs):
-        path, length, mirror = real(*args, **kwargs)
+        quotient = real(*args, **kwargs)
 
         def counted(m):
             asked.append(m)
-            return length(m)
-        return path, counted, mirror
+            return quotient.length(m)
+        return quotient._replace(length=counted)
 
     oracle.quotient_lengths = recorded
     try:
@@ -870,7 +870,7 @@ def test_mirror_matches_every_degree(case):
     ceil(N/2) up, against ``length`` at every degree and the definition;
     and the degrees they ask for start at ceil(N/2), N = sum(c_i - 1) + d."""
     p, q, nv, gens, h = case
-    path, length, _ = quotient_lengths(p, h, gens, q)
+    path, length, *_ = quotient_lengths(p, h, gens, q)
     if nv == 3 and _is_diagonal(h):
         assert path == "diagonal"
     every = []
@@ -906,7 +906,7 @@ def test_every_degree_sweep_off_the_mirror(h, gens):
     assert asked == list(range(profile.top_nonzero + 2))
     with asked_degrees() as asked:
         assert top_nonzero_degree(3, h, gens, 3) == profile.top_nonzero
-    assert asked[0] == oracle._sweep_bound(h, gens, 3)
+    assert asked[0] == quotient_lengths(3, h, gens, 3).bound
 
 
 
@@ -969,7 +969,7 @@ def _assert_unit_masses(p, q, h, gens, route):
     number of e_k at m: never negative, and K in all.  Checked from
     ``length`` at every degree up to two past the sweep bound, so it tests
     each route's ranks with no closed form involved."""
-    path, length, _ = quotient_lengths(p, h, gens, q)
+    path, length, *_ = quotient_lengths(p, h, gens, q)
     assert path == ("pure-power" if route == "shear" else route)
     d = poly_degree(h)
     shifts = [q * poly_degree(g) + j for g in gens for j in range(d)]
@@ -978,7 +978,7 @@ def _assert_unit_masses(p, q, h, gens, route):
         return max(s + 1, 0)
 
     r = [0, 0]  # R(-2), R(-1)
-    for m in range(oracle._sweep_bound(h, gens, q) + 3):
+    for m in range(quotient_lengths(p, h, gens, q).bound + 3):
         r.append(length(m) - sum(c(m - j) for j in range(d)) + sum(c(m - s) for s in shifts))
     masses = [r[m] - 2 * r[m - 1] + r[m - 2] for m in range(2, len(r))]
     assert min(masses) >= 0

@@ -35,6 +35,15 @@ def test_slice_volume_examples():
     assert slice_volume(BoxSliceSpec((2, 1, 3)))(7) == 0
 
 
+def test_slice_volume_of_thirty_unit_edges():
+    """30 unit edges: 2^30 subsets, 31 distinct sums.  Unit mass, and zero
+    from the sum of the edges on."""
+    v = slice_volume(BoxSliceSpec((1,) * 30))
+    assert v.integrate(0, 30) == 1
+    assert v.support_sup() == 30
+    assert v(30) == 0 and v(31) == 0 and v(15) > 0
+
+
 def test_slice_volume_m1_is_an_indicator():
     v = slice_volume(BoxSliceSpec((3,)))
     assert v(0) == 1
