@@ -357,6 +357,20 @@ def test_monomial_alpha_examples():
     assert monomial_alpha(3, [{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}]) == 6
 
 
+def test_quotient_record():
+    """The record's variable count and sweep bound,
+    q*sum(deg g_i) + (deg h, or the count without h) + 1, and ``finite``."""
+    ring = quotient_lengths(3, None, XYZ_VARS, 3)
+    assert (ring.path, ring.mirror, ring.num_vars, ring.bound) == ("walk", None, 3, 13)
+    assert ring.finite() is ring
+    cone = quotient_lengths(3, QUADRIC_CONE, variable_powers(3, 2), 3)
+    assert (cone.num_vars, cone.bound, cone.mirror[0]) == (3, 3 * 6 + 2 + 1, 15 + 2)
+    plane = quotient_lengths(3, None, [{(1, 0): 1}, {(1, 1): 1}, {(0, 2): 1}], 9)
+    assert (plane.num_vars, plane.bound) == (2, 9 * 5 + 2 + 1)
+    with pytest.raises(OracleError, match="^no zero tail at the sweep bound"):
+        quotient_lengths(3, None, [{(1, 1): 1}], 3).finite()
+
+
 def test_monomial_alpha_rejects_infinite_colength():
     with pytest.raises(ValueError):
         monomial_alpha(2, [{(2, 0): 1}, {(1, 1): 1}])
