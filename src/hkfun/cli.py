@@ -292,10 +292,10 @@ def _cmd_oracle(args) -> int:
             "hypersurface": args.hypersurface or (repr(curve) if curve else None),
             "generators": args.gens or f"coordinate powers n={n}"}
     if args.op == "profile":
-        profile = oracle.colength_profile(p, hyp, gens, q)
-        rows = [{"m": m, "length": profile.lengths[m]} for m in sorted(profile.lengths)]
-        _emit({**echo, "top_nonzero": profile.top_nonzero,
-               "lengths": {str(m): profile.lengths[m] for m in sorted(profile.lengths)}},
+        lengths = oracle.colength_profile(p, hyp, gens, q)
+        rows = [{"m": m, "length": lengths[m]} for m in sorted(lengths)]
+        _emit({**echo, "top_nonzero": len(lengths) - 1,
+               "lengths": {str(m): lengths[m] for m in sorted(lengths)}},
               rows, args)
     elif args.op == "ehk":
         value = oracle.ehk_estimate(p, hyp, gens, q)
@@ -443,11 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # exact output prints integers of any length: lift CPython's digit limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an option the subcommand lacks, or that is left unset, passes; a
-        # fraction of 4000 digits stays below the 4300-digit int-to-str limit
+        # an option the subcommand lacks, or that is left unset, passes; the
+        # bounds keep --precision's powers of ten and --samples' rows small
         for name, least, most in (("precision", 0, 4000), ("samples", 2, 100_000),
                                   ("vars", 1, oracle.MAX_VARS)):
             value = getattr(args, name, None)

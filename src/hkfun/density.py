@@ -63,7 +63,8 @@ class PairDensity:
     @classmethod
     def from_dict(cls, data: dict) -> "PairDensity":
         """The pair of a ``to_dict`` object; ValueError naming the field
-        for a missing key or a value of the wrong JSON type."""
+        for a missing key or a value of the wrong JSON type, and for a
+        density negative somewhere, which no constructor here builds."""
         if not isinstance(data, dict):
             raise ValueError(f"a pair density must be a JSON object, got {json.dumps(data)}")
         if missing := [k for k in ("dim", "mult", "density") if k not in data]:
@@ -71,9 +72,12 @@ class PairDensity:
         for key in ("dim", "mult"):
             if type(data[key]) is not int:  # bool is an int in Python, not in JSON
                 raise ValueError(f"{key} must be a JSON integer, got {json.dumps(data[key])}")
-        return cls(dim=data["dim"], mult=data["mult"],
+        pair = cls(dim=data["dim"], mult=data["mult"],
                    f=PiecewisePolynomial.from_dict(data["density"]),
                    provenance=str(data.get("provenance", "unspecified")))
+        if not pair.f.is_nonnegative():
+            raise ValueError("density must be nonnegative")
+        return pair
 
 
 def ceiling_polynomial(mult: int, dim: int) -> Polynomial:

@@ -13,7 +13,8 @@ into caps (the least pure power of each variable) and surviving mixed
 monomials; a mixed monomial that a pure power divides adds nothing to the
 ideal and is dropped.  That one analysis picks one of three rank paths and
 the Gorenstein mirror below; one ``Quotient`` record holds them with the
-variable count and the sweep bound, and no entry derives those again.
+variable count, the pair's dimension and the sweep bound, and no entry
+derives those again.  A profile is the plain dict of its lengths.
 ``length(m)`` does only the work of degree m: a sweep or bisection sets up once.
 
 - ``"diagonal"``: three variables, every generator a pure power (caps c_x,
@@ -114,7 +115,6 @@ import heapq
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -192,7 +192,9 @@ def _literal_power(poly: Poly, k: int, p: int) -> dict[tuple[int, ...], int]:
 
 
 def variable_powers(num_vars: int, n: int) -> list[dict[tuple[int, ...], int]]:
-    """Generators x_i^n of the n-th power-coordinate ideal."""
+    """Generators x_i^n of the n-th power-coordinate ideal, n >= 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     gens = []
     for i in range(num_vars):
         e = [0] * num_vars
@@ -661,14 +663,16 @@ def _is_power_of(q: int, p: int) -> bool:
 
 class Quotient(NamedTuple):
     """S/(h, g_1^q, ..., g_t^q) as ``quotient_lengths`` sets it up: the rank
-    path, ``length(m)``, the mirror (N, e) or None, the variable count n and
-    the sweep bound q*sum(deg g_i) + (deg h, or n without h) + 1, a degree
-    above the top of the quotient whenever its ideal has finite colength."""
+    path, ``length(m)``, the mirror (N, e) or None, the variable count n, the
+    pair's dimension (n - 1 with h, n without) and the sweep bound
+    q*sum(deg g_i) + (deg h, or n without h) + 1, a degree above the top of
+    the quotient whenever its ideal has finite colength."""
 
     path: str
     length: Callable[[int], int]
     mirror: Optional[Mirror]
     num_vars: int
+    dim: int
     bound: int
 
     def finite(self) -> Quotient:
@@ -737,11 +741,11 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly], generators: Sequence[
     """Set up S/(h, g_1^q, ..., g_t^q) once and return its ``Quotient``:
     the rank path ("diagonal", "pure-power" or "walk"), ``length(m)``, the
     length of the degree-m piece, the Gorenstein mirror (N, e) of
-    ``_gorenstein_mirror`` or None, the number of variables and the sweep
-    bound.  One ``_caps_and_mixed`` of the bracketed generators decides path
-    and mirror (module docstring): h over exactly the pure powers
-    x_1^c_1, ..., x_n^c_n gets the mirror, and in three variables the
-    diagonal or the pure-power path where one applies; the rest walks.
+    ``_gorenstein_mirror`` or None, the number of variables, the pair's
+    dimension and the sweep bound.  One ``_caps_and_mixed`` of the bracketed
+    generators decides path and mirror (module docstring): h over exactly the
+    pure powers x_1^c_1, ..., x_n^c_n gets the mirror, and in three variables
+    the diagonal or the pure-power path where one applies; the rest walks.
 
     Raises ValueError when the polynomials mix numbers of variables, p is
     not prime or not below 2^31, q is not a power of p, a polynomial is
@@ -780,7 +784,9 @@ def quotient_lengths(p: int, hypersurface: Optional[Poly], generators: Sequence[
     # h over exactly the pure powers x_1^c_1, ..., x_n^c_n
     pure_caps = hyp is not None and not mixed and not non_monomial and None not in caps
     mirror = _gorenstein_mirror(caps, d) if pure_caps else None
-    facts = (mirror, num_vars, q * sum(gen_degrees) + (d if hyp is not None else num_vars) + 1)
+    dim = num_vars - (hyp is not None)
+    facts = (mirror, num_vars, dim,
+             q * sum(gen_degrees) + (d if hyp is not None else num_vars) + 1)
     if pure_caps and num_vars == 3:
         pure = [v for v in range(3) if tuple(d if i == v else 0 for i in range(3)) in hyp]
         if len(pure) == 3 == len(hyp):  # h = c_1 x^d + c_2 y^d + c_3 z^d
@@ -816,26 +822,11 @@ def graded_piece_length_raw(p: int, hypersurface: Optional[Poly],
 # profiles and estimates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ColengthProfile:
-    """The graded lengths of R/I^[q] at the degrees 0, 1, ..., top, all nonzero."""
-
-    p: int
-    q: int
-    lengths: dict[int, int]
-
-    @property
-    def top_nonzero(self) -> int:
-        return len(self.lengths) - 1
-
-    def total(self) -> int:
-        return sum(self.lengths.values())
-
-
 def colength_profile(p: int, hypersurface: Optional[Poly],
-                     generators: Sequence[Poly], q: int) -> ColengthProfile:
-    """The lengths up to the top, swept by ``Quotient.sweep``."""
-    return ColengthProfile(p, q, quotient_lengths(p, hypersurface, generators, q).sweep())
+                     generators: Sequence[Poly], q: int) -> dict[int, int]:
+    """The lengths at the degrees 0, 1, ..., top, all nonzero, swept by
+    ``Quotient.sweep``; the top is ``len(lengths) - 1``."""
+    return quotient_lengths(p, hypersurface, generators, q).sweep()
 
 
 def top_nonzero_degree(p: int, hypersurface: Optional[Poly],
@@ -851,7 +842,7 @@ def fn_sample(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly],
     when the ideal does not have finite colength; past that check every
     degree outside [0, sweep bound) has length 0 and is not ranked."""
     quotient = quotient_lengths(p, hypersurface, generators, q)
-    if quotient.num_vars - (hypersurface is not None) != 2:
+    if quotient.dim != 2:
         raise ValueError("density samples are defined for two-dimensional pairs")
     m = math.floor(Fraction(x) * q)
     return Fraction(quotient.length(m) if 0 <= m < quotient.finite().bound else 0, q)
@@ -861,8 +852,7 @@ def ehk_estimate(p: int, hypersurface: Optional[Poly], generators: Sequence[Poly
                  q: int) -> Fraction:
     """sum_m length / q^dim: the finite-q multiplicity estimate."""
     quotient = quotient_lengths(p, hypersurface, generators, q)
-    dim = quotient.num_vars - (hypersurface is not None)
-    return Fraction(sum(quotient.sweep().values()), q ** dim)
+    return Fraction(sum(quotient.sweep().values()), q ** quotient.dim)
 
 
 def fthreshold_estimate(p: int, hypersurface: Optional[Poly], n: int, q: int) -> Fraction:

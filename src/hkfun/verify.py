@@ -18,7 +18,7 @@ from . import oracle
 from .bundle import HNData, Polarization, SyzygySpec, syzygy_pair_density
 from .density import segre
 from .piecewise import fraction_str, tent_function
-from .trinomial import TypeI, cyclic, f_threshold, fermat
+from .trinomial import TrinomialCurve, TypeI, cyclic, f_threshold, fermat
 from .volume import BoxSliceSpec, lattice_slice_count, parameter_density, slice_volume
 
 QUADRIC_CONE = {(1, 1, 0): 1, (0, 0, 2): -1}
@@ -83,12 +83,15 @@ def _case_tent_exact() -> VerifyResult:
                     "unit parameter density equals the tent function exactly")
 
 
-def _fermat4_case(name: str, p: int, q: int, tol: Fraction) -> Callable[[], VerifyResult]:
+def _threshold_case(name: str, curve: TrinomialCurve, p: int, q: int, tol: Fraction,
+                    detail: str = "threshold estimate at q={q} against the residue formula"
+                    ) -> Callable[[], VerifyResult]:
+    """The oracle's F-threshold estimate of (curve, m) at q against the
+    residue formula at p; ``detail`` is formatted with the curve and q."""
     def run() -> VerifyResult:
-        target = f_threshold(fermat(4), 1, p)
-        measured = oracle.fthreshold_estimate(p, oracle.trinomial_poly(fermat(4)), 1, q)
-        return _result(name, measured, target, tol,
-                       detail=f"threshold estimate at q={q} against the residue formula")
+        target = f_threshold(curve, 1, p)
+        measured = oracle.fthreshold_estimate(p, oracle.trinomial_poly(curve), 1, q)
+        return _result(name, measured, target, tol, detail=detail.format(curve=curve, q=q))
     return run
 
 
@@ -127,15 +130,6 @@ def _case_segre_quadric() -> VerifyResult:
                           "exact Segre integral")
 
 
-def _case_irregular_quintic() -> VerifyResult:
-    curve = irregular_quintic_witness()
-    p, q = 13, 169
-    target = f_threshold(curve, 1, p)
-    measured = oracle.fthreshold_estimate(p, oracle.trinomial_poly(curve), 1, q)
-    return _result("irregular-d5-oracle", measured, target, Fraction(3, q),
-                   detail=f"witness {curve}; threshold estimate at q=p^2={q}")
-
-
 def _case_scaling() -> VerifyResult:
     # non-monomial generators, so that the bracket's coefficients matter
     gens = [oracle.parse_polynomial(g, 3) for g in ("x + y", "x + 2*y", "z")]
@@ -153,13 +147,13 @@ def _case_profile_mirror() -> VerifyResult:
     hyp = oracle.trinomial_poly(cyclic(4))
     gens = oracle.variable_powers(3, 1)
     profile = oracle.colength_profile(p, hyp, gens, q)
-    length = oracle.quotient_lengths(p, hyp, gens, q)[1]
+    length = oracle.quotient_lengths(p, hyp, gens, q).length
     ranked: dict[int, int] = {}
     while value := length(len(ranked)):
         ranked[len(ranked)] = value
-    ok = profile.lengths == ranked  # the top is len(lengths) - 1 on both
+    ok = profile == ranked  # the top is len(lengths) - 1 on both
     return _verdict("profile-mirror-cyclic4-p7-q49", ok, "equal", "unequal",
-                    f"mirrored profile (top {profile.top_nonzero}) against a rank "
+                    f"mirrored profile (top {len(profile) - 1}) against a rank "
                     f"at every degree 0..{len(ranked)}")
 
 
@@ -170,8 +164,8 @@ def _case_kunz_regular() -> VerifyResult:
     p, q = 2, 4
     texts = ("x^2", "x*y + z^2", "y^2", "z^3")
     gens = [oracle.parse_polynomial(g, 3) for g in texts]
-    colength = oracle.colength_profile(p, None, gens, 1).total()
-    measured = oracle.colength_profile(p, None, gens, q).total()
+    colength = sum(oracle.colength_profile(p, None, gens, 1).values())
+    measured = sum(oracle.colength_profile(p, None, gens, q).values())
     return _result("kunz-regular-dense", Fraction(measured), Fraction(q ** 3 * colength),
                    Fraction(0), detail=f"l(S/J^[{q}]) against {q}^3 l(S/J) = {q}^3*{colength} "
                                        f"for J = ({', '.join(texts)}) mod {p}")
@@ -213,14 +207,17 @@ def _case_volume_convergence() -> VerifyResult:
 
 CASES: dict[str, Callable[[], VerifyResult]] = {
     "tent-exact": _case_tent_exact,
-    "fermat4-p17-q17": _fermat4_case("fermat4-p17-q17", 17, 17, Fraction(3, 17)),
-    "fermat4-p29-q29": _fermat4_case("fermat4-p29-q29", 29, 29, Fraction(3, 29)),
+    "fermat4-p17-q17": _threshold_case("fermat4-p17-q17", fermat(4), 17, 17, Fraction(3, 17)),
+    "fermat4-p29-q29": _threshold_case("fermat4-p29-q29", fermat(4), 29, 29, Fraction(3, 29)),
     # at q = p^2 the top is exact: q*c + 1 = 1277, within (d - 3)/q of c
-    "fermat4-p29-q841": _fermat4_case("fermat4-p29-q841", 29, 841, Fraction(1, 841)),
+    "fermat4-p29-q841": _threshold_case("fermat4-p29-q841", fermat(4), 29, 841,
+                                        Fraction(1, 841)),
     "quadric-cone-f3": _case_quadric_thresholds,
     "quadric-cone-ehk": _case_quadric_ehk,
     "segre-quadric-f2-q8": _case_segre_quadric,
-    "irregular-d5-oracle": _case_irregular_quintic,
+    "irregular-d5-oracle": _threshold_case("irregular-d5-oracle", irregular_quintic_witness(),
+                                           13, 169, Fraction(3, 169),
+                                           "witness {curve}; threshold estimate at q=p^2={q}"),
     "scaling-quadric-cone": _case_scaling,
     "kunz-regular-dense": _case_kunz_regular,
     "profile-mirror-cyclic4-p7-q49": _case_profile_mirror,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .density import PairDensity
 from .piecewise import PiecewisePolynomial, Polynomial
@@ -36,28 +36,33 @@ def slice_volume(spec: BoxSliceSpec) -> PiecewisePolynomial:
 
     Computed by inclusion-exclusion over subset sums:
     ``V(x) = (1/(m-1)!) * sum_S (-1)^|S| * (x - n_S)_+^(m-1)``, its signed
-    subset counts read off prod (1 - z^n_i), one edge at a time.  Breakpoints
-    land on the distinct subset sums; canonicalization merges any that turn
-    out redundant.  The m = 1 case is the indicator of [0, n) and is
-    the one discontinuous output of this module.
+    subset counts read off prod (1 - z^n_i), one edge at a time.  A cut with
+    count c adds c * C(m-1, j) * (-cut)^(m-1-j) to the integer coefficient of
+    x^j, and each piece divides by (m-1)! once.  Breakpoints land on the
+    distinct subset sums; canonicalization merges any that turn out
+    redundant.  The m = 1 case is the indicator of [0, n) and is the one
+    discontinuous output of this module.
     """
     ns = spec.edge_lengths
     m = len(ns)
     if m == 1:
         return PiecewisePolynomial.on_interval(0, ns[0], Polynomial([1]))
-    signed = {Fraction(0): 1}  # every subset sum, zero coefficients kept
+    signed = {0: 1}  # every subset sum, zero coefficients kept
     for n in ns:
         for s, c in list(signed.items()):
             signed[s + n] = signed.get(s + n, 0) - c
     cuts = sorted(signed)
     fact = factorial(m - 1)
-    acc = Polynomial.zero()
+    acc = [0] * m  # (m-1)! times the sum so far, by power of x
     pieces = []
-    for cut in cuts[:-1]:
-        if signed[cut]:
-            shifted = Polynomial.monomial(m - 1, Fraction(1, fact)).compose_affine(1, -cut)
-            acc = acc + shifted * signed[cut]
-        pieces.append(acc)
+    for cut in cuts[:-1]:  # the first, 0, has c = 1
+        if c := signed[cut]:
+            power = c  # c * (-cut)^(m-1-j), from j = m-1 down
+            for j in reversed(range(m)):
+                acc[j] += comb(m - 1, j) * power
+                power *= -cut
+            piece = Polynomial([Fraction(a, fact) for a in acc])
+        pieces.append(piece)
     # the full alternating sum telescopes to zero past the last subset sum
     return PiecewisePolynomial(cuts, pieces)
 

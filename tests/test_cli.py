@@ -286,6 +286,8 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
      "--eval is read only with --format json"),
     (("volume", "--degrees", "1,2", "--format", "samples", "--eval", "1"),
      "--eval is read only with --format json"),
+    (("oracle", "--prime", "5", "--q", "5", "--fermat", "4", "--n", "0"), "n must be >= 1"),
+    (("oracle", "--prime", "5", "--q", "5", "--fermat", "4", "--n", "-1"), "n must be >= 1"),
 ], ids=["table-prime-4", "prime-divides-2lambda", "table-prime-divides-2lambda",
         "table-prime-divides-2lambda-cyclic", "samples-0", "samples-negative", "samples-1",
         "precision-trinomial", "precision-5000", "samples-100001", "table-lambda-h-past-limit",
@@ -300,7 +302,7 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
         "syzygy-steeper-than-free",
         "eval-zero-denominator", "slope-zero-denominator", "x-zero-denominator",
         "unknown-verify-case", "fn-past-the-bound-without-finite-colength",
-        "eval-with-csv", "eval-with-samples"])
+        "eval-with-csv", "eval-with-samples", "n-0", "n-negative"])
 def test_invalid_option_is_one_line_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -433,6 +435,8 @@ MALFORMED_PAIRS = {
     "mult-float": (_tent_json(mult=1.9), "mult must be a JSON integer, got 1.9"),
     "dim-string": (_tent_json(dim="2"), 'dim must be a JSON integer, got "2"'),
     "dim-null": (_tent_json(dim=None), "dim must be a JSON integer, got null"),
+    "negated-tent": (_tent_json(pieces=[["0", "-1"], ["-2", "1"]]),
+                     "density must be nonnegative"),
     **{f"no-{key}": (_without(_tent_json(), key), f'a pair density has no "{key}" key')
        for key in ("dim", "mult", "density")},
     **{f"no-{key}": ({**_tent_json(), "density": _without(tent_function().to_dict(), key)},
@@ -563,6 +567,17 @@ def test_samples_of_a_value_past_4300_digits(capsys):
     assert [row["f"] for row in rows] == ["0", str(mult), "0"]
     assert rows[1]["f_dec"] == f"{mult}." + "0" * 4000
     assert rows[0]["f_dec"] == "0." + "0" * 4000
+
+
+def test_json_of_a_value_past_4300_digits(capsys):
+    """JSON output is exact at any length: with D = 1500 nines, the e_HK of
+    the parameter pair of degrees D, D, D, D is D^4, about 6000 digits,
+    past CPython's default int-to-str limit."""
+    degree = 10**1500 - 1
+    code, out, err = run_cli(capsys, "density", "--degrees", ",".join([str(degree)] * 4),
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert Fraction(json.loads(out)["ehk"]) == degree ** 4
 
 
 def test_oracle_curve_flag(capsys):

@@ -198,9 +198,7 @@ def test_walk_with_binomial_generator_matches_definition():
 
 
 def test_profile_box_case_exact():
-    profile = colength_profile(5, None, XY_VARS, 5)
-    assert profile.lengths == {m: min(m + 1, 9 - m) for m in range(9)}
-    assert profile.top_nonzero == 8
+    assert colength_profile(5, None, XY_VARS, 5) == {m: min(m + 1, 9 - m) for m in range(9)}
 
 
 def test_one_setup_per_quotient(monkeypatch):
@@ -286,9 +284,7 @@ def test_one_analysis_per_quotient(monkeypatch):
 
 
 def test_profile_quadric_cone():
-    profile = colength_profile(3, QUADRIC_CONE, XYZ_VARS, 3)
-    assert profile.lengths == {0: 1, 1: 3, 2: 5, 3: 4}
-    assert profile.top_nonzero == 3
+    assert colength_profile(3, QUADRIC_CONE, XYZ_VARS, 3) == {0: 1, 1: 3, 2: 5, 3: 4}
 
 
 def test_profile_monotone_under_more_generators(rng):
@@ -312,8 +308,8 @@ def test_top_nonzero_matches_profile(rng):
     cases = [(3, QUADRIC_CONE, XYZ_VARS, 3), (3, QUADRIC_CONE, XYZ_VARS, 9),
              (5, None, XY_VARS, 5), (2, None, variable_powers(2, 2), 4)]
     for p, h, gens, q in cases:
-        profile = colength_profile(p, h, gens, q)
-        assert top_nonzero_degree(p, h, gens, q) == profile.top_nonzero
+        lengths = colength_profile(p, h, gens, q)
+        assert top_nonzero_degree(p, h, gens, q) == len(lengths) - 1 == max(lengths)
 
 
 def test_fn_sample():
@@ -358,15 +354,18 @@ def test_monomial_alpha_examples():
 
 
 def test_quotient_record():
-    """The record's variable count and sweep bound,
-    q*sum(deg g_i) + (deg h, or the count without h) + 1, and ``finite``."""
+    """The record's variable count, the pair's dimension (the count, less
+    one with h), the sweep bound q*sum(deg g_i) + (deg h, or the count
+    without h) + 1, and ``finite``."""
     ring = quotient_lengths(3, None, XYZ_VARS, 3)
-    assert (ring.path, ring.mirror, ring.num_vars, ring.bound) == ("walk", None, 3, 13)
+    assert (ring.path, ring.mirror, ring.num_vars, ring.dim, ring.bound) == \
+        ("walk", None, 3, 3, 13)
     assert ring.finite() is ring
     cone = quotient_lengths(3, QUADRIC_CONE, variable_powers(3, 2), 3)
-    assert (cone.num_vars, cone.bound, cone.mirror[0]) == (3, 3 * 6 + 2 + 1, 15 + 2)
+    assert (cone.num_vars, cone.dim, cone.bound, cone.mirror[0]) == \
+        (3, 2, 3 * 6 + 2 + 1, 15 + 2)
     plane = quotient_lengths(3, None, [{(1, 0): 1}, {(1, 1): 1}, {(0, 2): 1}], 9)
-    assert (plane.num_vars, plane.bound) == (2, 9 * 5 + 2 + 1)
+    assert (plane.num_vars, plane.dim, plane.bound) == (2, 2, 9 * 5 + 2 + 1)
     with pytest.raises(OracleError, match="^no zero tail at the sweep bound"):
         quotient_lengths(3, None, [{(1, 1): 1}], 3).finite()
 
@@ -415,14 +414,14 @@ def test_oracle_rejections(call, error, message):
 
 
 def test_profile_is_its_lengths():
-    """Two profiles are equal exactly when their lengths are, and the top is
-    the last degree of the lengths."""
-    profile = colength_profile(3, QUADRIC_CONE, XYZ_VARS, 3)
-    assert profile.top_nonzero == len(profile.lengths) - 1 == max(profile.lengths) == 3
-    assert profile == colength_profile(3, QUADRIC_CONE, XYZ_VARS, 3)
-    assert profile != oracle.ColengthProfile(p=3, q=3, lengths={**profile.lengths, 3: 99})
-    shorter = oracle.ColengthProfile(p=3, q=3, lengths={m: profile.lengths[m] for m in range(3)})
-    assert profile != shorter and shorter.top_nonzero == 2
+    """A profile is the plain dict of the record's sweep: the degrees
+    0, 1, ..., top in order, each length nonzero, so the top is
+    ``len(lengths) - 1``."""
+    lengths = colength_profile(3, QUADRIC_CONE, XYZ_VARS, 3)
+    assert type(lengths) is dict
+    assert lengths == quotient_lengths(3, QUADRIC_CONE, XYZ_VARS, 3).sweep()
+    assert list(lengths) == list(range(len(lengths))) and all(lengths.values())
+    assert len(lengths) - 1 == top_nonzero_degree(3, QUADRIC_CONE, XYZ_VARS, 3) == 3
 
 
 def test_scaling_check():
@@ -481,15 +480,17 @@ def test_kunz_on_polynomial_ring(p, num_vars, texts, totals):
     so this checks the brackets and the rank code with no closed form
     involved."""
     gens = [parse_polynomial(t, num_vars) for t in texts]
-    colength = colength_profile(p, None, gens, 1).total()
+    colength = sum(colength_profile(p, None, gens, 1).values())
     for q, total in totals.items():
         assert quotient_lengths(p, None, gens, q)[0] == "walk"
-        assert colength_profile(p, None, gens, q).total() == total == q ** num_vars * colength
+        assert sum(colength_profile(p, None, gens, q).values()) == total \
+            == q ** num_vars * colength
 
 
 def test_kunz_fails_on_quadric_cone():
     # off a regular ring l(R/m^[q]) = q^dim * l(R/m) fails: here it is not q^2
-    totals = {q: colength_profile(3, QUADRIC_CONE, XYZ_VARS, q).total() for q in (3, 9, 27)}
+    totals = {q: sum(colength_profile(3, QUADRIC_CONE, XYZ_VARS, q).values())
+              for q in (3, 9, 27)}
     assert totals == {3: 13, 9: 121, 27: 1093}
 
 
@@ -511,9 +512,8 @@ def test_parse_polynomial():
 
 
 def test_determinism():
-    a = colength_profile(3, QUADRIC_CONE, XYZ_VARS, 9)
-    b = colength_profile(3, QUADRIC_CONE, XYZ_VARS, 9)
-    assert a == b and a.lengths == b.lengths
+    assert colength_profile(3, QUADRIC_CONE, XYZ_VARS, 9) == \
+        colength_profile(3, QUADRIC_CONE, XYZ_VARS, 9)
 
 
 @st.composite
@@ -798,9 +798,7 @@ def test_walk_with_linear_generator_matches_substitution(q):
     moved_gens = [parse_polynomial(g, 3) for g in ("x", "y^2", "z^2")]
     assert quotient_lengths(p, h, gens, q)[0] == "walk"
     assert quotient_lengths(p, moved_h, moved_gens, q)[0] == "pure-power"
-    walked = colength_profile(p, h, gens, q)
-    moved = colength_profile(p, moved_h, moved_gens, q)
-    assert (walked.top_nonzero, walked.lengths) == (moved.top_nonzero, moved.lengths)
+    assert colength_profile(p, h, gens, q) == colength_profile(p, moved_h, moved_gens, q)
 
 
 @contextlib.contextmanager
@@ -896,8 +894,7 @@ def test_mirror_matches_every_degree(case):
     assert brute_graded_length(p, h, gens, q, len(every), nv) == 0
     start = (sum(c - 1 for c in caps) + poly_degree(h) + 1) // 2
     with asked_degrees() as asked:
-        profile = colength_profile(p, h, gens, q)
-    assert (profile.lengths, profile.top_nonzero) == (dict(enumerate(every)), len(every) - 1)
+        assert colength_profile(p, h, gens, q) == dict(enumerate(every))
     assert min(asked) == start
     with asked_degrees() as asked:
         assert top_nonzero_degree(p, h, gens, q) == len(every) - 1
@@ -916,10 +913,10 @@ def test_every_degree_sweep_off_the_mirror(h, gens):
     """Off pure-power caps or without h, the profile ranks every degree and
     the top search starts at the sweep bound."""
     with asked_degrees() as asked:
-        profile = colength_profile(3, h, gens, 3)
-    assert asked == list(range(profile.top_nonzero + 2))
+        top = len(colength_profile(3, h, gens, 3)) - 1
+    assert asked == list(range(top + 2))
     with asked_degrees() as asked:
-        assert top_nonzero_degree(3, h, gens, 3) == profile.top_nonzero
+        assert top_nonzero_degree(3, h, gens, 3) == top
     assert asked[0] == quotient_lengths(3, h, gens, 3).bound
 
 

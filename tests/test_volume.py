@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -42,6 +42,17 @@ def test_slice_volume_of_thirty_unit_edges():
     assert v.integrate(0, 30) == 1
     assert v.support_sup() == 30
     assert v(30) == 0 and v(31) == 0 and v(15) > 0
+
+
+def test_slice_volume_of_240_unit_edges():
+    """240 unit edges build in about a second: x^239/239! on [0, 1), and the
+    slice function is symmetric about 120.  The exact mass of 240 pieces of
+    degree 239 takes minutes, so it is not integrated here."""
+    v = slice_volume(BoxSliceSpec((1,) * 240))
+    assert v.segment_at(Fraction(1, 2)) == Polynomial.monomial(239, Fraction(1, factorial(239)))
+    assert len(v.breakpoints) == 241 and v.support_sup() == 240
+    for x in (Fraction(1, 3), Fraction(239, 2), 100):
+        assert v(x) == v(240 - x)
 
 
 def test_slice_volume_m1_is_an_indicator():
