@@ -3,9 +3,11 @@ and plot-ready exact sampling.
 
 Each subcommand takes only the options it reads: ``--format`` and ``--out``
 everywhere, ``--format samples`` and ``--samples`` on volume, density, segre,
-bundle and syzygy.  ``--precision`` is read only where a ``*_dec`` field is
-printed: with ``--format samples``, and in the JSON of ``trinomial --prime``
-(without ``--table``) and of ``oracle --op ehk|fthreshold``.
+bundle and syzygy.  ``--samples`` is read only with ``--format samples``, and
+``verify --list`` prints a plain listing, so it takes no ``--format csv``.
+``--precision`` is read only where a ``*_dec`` field is printed: with
+``--format samples``, and in the JSON of ``trinomial --prime`` (without
+``--table``) and of ``oracle --op ehk|fthreshold``.
 ``trinomial`` and ``oracle`` take one curve flag at most; each pair density
 of ``density`` and ``segre`` comes from degrees or from a JSON file.
 
@@ -78,9 +80,10 @@ def _precision(args) -> int:
     return 12 if args.precision is None else args.precision
 
 
-def _reject_unread_precision(args, read: bool, where: str) -> None:
-    if args.precision is not None and not read:
-        raise ValueError(f"--precision is read only {where}")
+def _reject_unread(args, option: str, read: bool, where: str) -> None:
+    """Refuse ``option`` when it is given where the command would not read it."""
+    if getattr(args, option[2:]) is not None and not read:
+        raise ValueError(f"{option} is read only {where}")
 
 
 def _sample_rows(f: PiecewisePolynomial, n: int, precision: int) -> list[dict]:
@@ -119,9 +122,11 @@ def _emit(payload: dict, rows: Optional[list[dict]], args) -> None:
 
 
 def _emit_density(f: PiecewisePolynomial, extra: dict, args) -> None:
-    _reject_unread_precision(args, args.format == "samples", "with --format samples")
+    for option in ("--precision", "--samples"):
+        _reject_unread(args, option, args.format == "samples", "with --format samples")
     if args.format == "samples":
-        rows = _sample_rows(f, args.samples, _precision(args))
+        rows = _sample_rows(f, 256 if args.samples is None else args.samples,
+                            _precision(args))
         _emit({**extra, "samples": rows}, rows, args)
     elif args.format == "csv":
         _emit(extra, _piece_rows(f), args)
@@ -140,8 +145,7 @@ def _pair_payload(pair: PairDensity) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_volume(args) -> int:
-    if args.eval is not None and args.format != "json":
-        raise ValueError("--eval is read only with --format json")
+    _reject_unread(args, "--eval", args.format == "json", "with --format json")
     spec = BoxSliceSpec(tuple(_int_list(args.degrees)))
     f = slice_volume(spec)
     payload = {"edge_lengths": list(spec.edge_lengths),
@@ -218,9 +222,9 @@ def _curve_from_args(args):
 
 
 def _cmd_trinomial(args) -> int:
-    _reject_unread_precision(args, args.prime is not None and not args.table,
-                             "with --prime and without --table")
-    _reject_unread_precision(args, args.format == "json", "with --format json")
+    _reject_unread(args, "--precision", args.prime is not None and not args.table,
+                   "with --prime and without --table")
+    _reject_unread(args, "--precision", args.format == "json", "with --format json")
     curve = _curve_from_args(args)
     kind = classify(curve)
     payload: dict = {"curve": repr(curve), "degree": curve.degree, "n": args.n}
@@ -278,13 +282,11 @@ def _oracle_ideal(args, n: int):
 
 
 def _cmd_oracle(args) -> int:
-    if args.x is not None and args.op != "fn":
-        raise ValueError(f"--x is read only by --op fn, not --op {args.op}")
-    if args.gens is not None and args.n is not None:
-        raise ValueError("--n is read only without --gens")
-    _reject_unread_precision(args, args.op in ("ehk", "fthreshold"),
-                             f"by --op ehk and --op fthreshold, not --op {args.op}")
-    _reject_unread_precision(args, args.format == "json", "with --format json")
+    _reject_unread(args, "--x", args.op == "fn", f"by --op fn, not --op {args.op}")
+    _reject_unread(args, "--n", args.gens is None, "without --gens")
+    _reject_unread(args, "--precision", args.op in ("ehk", "fthreshold"),
+                   f"by --op ehk and --op fthreshold, not --op {args.op}")
+    _reject_unread(args, "--precision", args.format == "json", "with --format json")
     n = 1 if args.n is None else args.n
     curve, hyp, gens = _oracle_ideal(args, n)
     p, q = args.prime, args.q
@@ -320,6 +322,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.list:
+        if args.format == "csv":
+            raise ValueError("--format csv is read only with --case")
         notes = verify.FAILS_BY_DESIGN
         _write("".join(f"{name}  ({notes[name]})\n" if name in notes else f"{name}\n"
                        for name in sorted(verify.CASES)), args)
@@ -337,7 +341,8 @@ def _output_options(formats: tuple[str, ...], precision: bool = True):
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--format", choices=formats, default="json")
     if "samples" in formats:
-        parent.add_argument("--samples", type=int, default=256, help="number of sample points")
+        parent.add_argument("--samples", type=int,
+                            help="number of sample points (default 256)")
     if precision:
         parent.add_argument("--precision", type=int,
                             help="decimal digits for rendered values (default 12)")

@@ -333,8 +333,6 @@ def dense_rank_modp(matrix: np.ndarray, p: int) -> int:
     pending = 0
     r = 0  # pivots found in the core, and the next pivot row
     for c in range(cols):
-        if r == rows:
-            break
         col = a[r:, c] % p
         hits = col.nonzero()[0]
         if hits.size == 0:

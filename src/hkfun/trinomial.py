@@ -188,21 +188,13 @@ def taxicab_distance(v: tuple, u: tuple) -> Fraction:
     return sum((abs(Fraction(a) - b) for a, b in zip(v, u)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class TaxicabResult:
-    """First sub-1 corner distance T and the scan step D where it occurred.
-
-    D is None when no step admits a distance below 1; then T = 1.
-    """
-
-    T: Fraction
-    D: Optional[int]
-
-
-def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
+def taxicab_search(inv: TrinomialInvariants, n: int,
+                   l: int) -> tuple[Fraction, Optional[int]]:
     """Scan s = 0, 1, ... for the first step where some odd-sum corner comes
     within taxicab distance 1 of v = l^s * n * (alpha, beta, nu)/lambda mod 2,
     until l^s returns to 1 modulo 2*lambda_h, where v starts to repeat.
+    Returns (T, D): the first distance T below 1 and the step D where it
+    occurs, or (1, None) when no step comes within distance 1.
 
     The scan runs in integers over lambda = ``inv.lam``: v_i = N_i / lambda
     with N_i = (l^s * alpha_i * n) mod 2*lambda for alpha_i in (alpha, beta,
@@ -235,10 +227,10 @@ def taxicab_search(inv: TrinomialInvariants, n: int, l: int) -> TaxicabResult:
         if parity % 2 == 0:
             dist += flip
         if dist < lam:
-            return TaxicabResult(T=Fraction(dist, lam), D=s)
+            return Fraction(dist, lam), s
         ls = (ls * l) % modulus
         if ls == 1:
-            return TaxicabResult(T=Fraction(1), D=None)
+            return Fraction(1), None
 
 
 def is_prime(p: int) -> bool:
@@ -342,7 +334,7 @@ def residue_table(curve: TrinomialCurve, n: int) -> list[ResidueRow]:
 def _residue_row(inv: TrinomialInvariants, n: int, d: int, l: int) -> ResidueRow:
     """The regular threshold at the class l: the scan's (T, D) with the
     formula's base 3n/2 and integral weight lambda*(1-T)."""
-    res = taxicab_search(inv, n, l)
+    T, D = taxicab_search(inv, n, l)
     # T is an integer over lambda (or 1), so lambda*(1 - T) is an integer
-    return ResidueRow(representative=l, T=res.T, D=res.D, base=Fraction(3 * n, 2),
-                      weight=int(inv.lam * (1 - res.T)), poldeg=d)
+    return ResidueRow(representative=l, T=T, D=D, base=Fraction(3 * n, 2),
+                      weight=int(inv.lam * (1 - T)), poldeg=d)

@@ -117,6 +117,13 @@ def test_syzygy_spec_validation():
     with pytest.raises(ValueError, match="^largest slope -1/2 of V exceeds the slope -1 of M$"):
         SyzygySpec(mu=3, gen_degree=2, pol=Polarization(1),
                    hn_v=HNData((Fraction(-1, 2), Fraction(-7, 2)), (1, 1)))
+    hn = HNData((Fraction(-1),), (1,))
+    for mu, gen_degree, message in ((1, 1, "need at least two generators"),
+                                    (2, 0, "generator degree must be >= 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SyzygySpec(mu=mu, gen_degree=gen_degree, pol=Polarization(2), hn_v=hn)
+    with pytest.raises(ValueError, match="^polarization degree must be >= 1$"):
+        Polarization(0)
     # equality is allowed: a summand of slope mu(M)
     SyzygySpec(mu=3, gen_degree=1, pol=Polarization(2),
                hn_v=HNData((Fraction(0), Fraction(-2)), (1, 1)))

@@ -6,6 +6,9 @@ import csv
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -288,6 +291,14 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
      "--eval is read only with --format json"),
     (("oracle", "--prime", "5", "--q", "5", "--fermat", "4", "--n", "0"), "n must be >= 1"),
     (("oracle", "--prime", "5", "--q", "5", "--fermat", "4", "--n", "-1"), "n must be >= 1"),
+    (("density", "--degrees", "1,1", "--format", "csv", "--samples", "5"),
+     "--samples is read only with --format samples"),
+    (("volume", "--degrees", "1,1", "--samples", "5"),
+     "--samples is read only with --format samples"),
+    (("verify", "--list", "--format", "csv"), "--format csv is read only with --case"),
+    # the table path refuses n inside the residue search
+    (("trinomial", "--fermat", "4", "--n", "0"), "n must be >= 1"),
+    (("trinomial", "--fermat", "4", "--prime", "1"), "1 is not prime"),
 ], ids=["table-prime-4", "prime-divides-2lambda", "table-prime-divides-2lambda",
         "table-prime-divides-2lambda-cyclic", "samples-0", "samples-negative", "samples-1",
         "precision-trinomial", "precision-5000", "samples-100001", "table-lambda-h-past-limit",
@@ -302,7 +313,9 @@ COLLINEAR = "the three exponent vectors are collinear, so the curve is reducible
         "syzygy-steeper-than-free",
         "eval-zero-denominator", "slope-zero-denominator", "x-zero-denominator",
         "unknown-verify-case", "fn-past-the-bound-without-finite-colength",
-        "eval-with-csv", "eval-with-samples", "n-0", "n-negative"])
+        "eval-with-csv", "eval-with-samples", "n-0", "n-negative",
+        "samples-density-csv", "samples-volume-json", "list-with-csv", "trinomial-n-0",
+        "trinomial-prime-1"])
 def test_invalid_option_is_one_line_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -496,6 +509,17 @@ def test_every_raise_in_the_package_is_a_value_error():
             if not issubclass(getattr(module, name, None) or getattr(builtins, name), ValueError):
                 others.append((path.stem, function, name))
     assert sorted(others) == NOT_VALUE_ERRORS
+
+
+def test_closed_forms_import_without_numpy():
+    """The closed forms run on the standard library; only the oracle (and the
+    modules that call it) load numpy."""
+    src = str(Path(hkfun.__file__).parent.parent)
+    code = ("import sys, hkfun.trinomial, hkfun.piecewise, hkfun.density, hkfun.volume, "
+            "hkfun.bundle; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_pair_density_reads_integer_entries(tmp_path, capsys):

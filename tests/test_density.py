@@ -46,6 +46,13 @@ def test_pair_density_validation():
     shifted = PiecewisePolynomial.on_interval(-1, 1, Polynomial([1, 1]))
     with pytest.raises(ValueError):
         PairDensity(dim=2, mult=1, f=shifted)  # mass on the negative axis
+    for dim, mult, message in ((0, 1, "dimension must be a positive integer"),
+                               (1, 0, "multiplicity must be a positive integer")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PairDensity(dim=dim, mult=mult, f=step)
+    unbounded = PiecewisePolynomial([0], right_tail=Polynomial([1]))
+    with pytest.raises(ValueError, match="^density must be compactly supported$"):
+        PairDensity(dim=1, mult=1, f=unbounded)
 
 
 def test_segre_of_two_tents():

@@ -131,6 +131,26 @@ def test_scale_and_compose_affine():
     assert shifted.support_sup() == 3
 
 
+REFUSALS = {
+    "pieces-without-breakpoints": (lambda: PiecewisePolynomial(pieces=[X]),
+                                   "pieces without breakpoints"),
+    "tails-disagree": (lambda: PiecewisePolynomial(left_tail=X),
+                       "tails must agree when there are no breakpoints"),
+    "piece-count": (lambda: PiecewisePolynomial([0, 1]),
+                    "need exactly one piece per bounded interval"),
+    "breakpoints-decreasing": (lambda: PiecewisePolynomial([1, 0], [X]),
+                               "breakpoints must be strictly increasing"),
+    "compose-affine-zero": (lambda: tent_function().compose_affine(0, 1),
+                            "affine substitution must be invertible"),
+}
+
+
+@pytest.mark.parametrize("build, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_invalid_input_is_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_truncate_before():
     f = PiecewisePolynomial.from_global(Polynomial([0, 1]))
     g = f.truncate_before(0)

@@ -145,18 +145,14 @@ def test_taxicab_search_trivial_class():
     for curve in (fermat(4), fermat(5), fermat(6), fermat(7),
                   cyclic(4), cyclic(5), cyclic(6), cyclic(7)):
         inv = classify(curve).invariants
-        res = taxicab_search(inv, 1, 1)
-        assert res.T == 1 and res.D is None
-        res_minus = taxicab_search(inv, 1, 2 * inv.lambda_h - 1)
-        assert res_minus.T == 1 and res_minus.D is None
+        assert taxicab_search(inv, 1, 1) == (1, None)
+        assert taxicab_search(inv, 1, 2 * inv.lambda_h - 1) == (1, None)
 
 
 def test_taxicab_search_fermat4():
     inv = classify(fermat(4)).invariants
-    res = taxicab_search(inv, 1, 5)
-    assert res.T == Fraction(3, 4)
-    assert res.D == 1
-    assert res == taxicab_search(inv, 1, 3)  # 5 = -3 mod 8: same class
+    assert taxicab_search(inv, 1, 5) == (Fraction(3, 4), 1)
+    assert taxicab_search(inv, 1, 3) == (Fraction(3, 4), 1)  # 5 = -3 mod 8: same class
 
 
 def test_taxicab_step_below_order():
@@ -165,9 +161,9 @@ def test_taxicab_step_below_order():
         for l in range(1, inv.lambda_h + 1):
             if gcd(l, 2 * inv.lambda_h) != 1:
                 continue
-            res = taxicab_search(inv, 1, l)
-            if res.D is not None:
-                assert res.D < n_order(l, 2 * inv.lambda_h)
+            _, D = taxicab_search(inv, 1, l)
+            if D is not None:
+                assert D < n_order(l, 2 * inv.lambda_h)
 
 
 def _fraction_corner_scan(inv, n, l):
@@ -206,8 +202,7 @@ def scan_inputs(draw):
 @example((classify(fermat(10 ** 20)).invariants, 1, 7))
 def test_taxicab_search_matches_fraction_corner_scan(case):
     inv, n, l = case
-    res = taxicab_search(inv, n, l)
-    assert (res.T, res.D) == _fraction_corner_scan(inv, n, l)
+    assert taxicab_search(inv, n, l) == _fraction_corner_scan(inv, n, l)
 
 
 def test_taxicab_search_rejects_non_units():
